@@ -310,12 +310,8 @@ main(int argc, char **argv)
             double start = nowNs();
             // Fresh context => fresh CachingOracle: cache-miss cost.
             CompilationContext context(device.value(), options);
-            Pipeline optimized = Pipeline::forStrategy(
-                Strategy::kClsAggregation, false, true);
-            Pipeline plain =
-                Pipeline::forStrategy(Strategy::kClsAggregation);
-            StatusOr<CompilationResult> compiled = compileWithLatencyGuard(
-                optimized, plain, circuit.value(), context);
+            StatusOr<CompilationResult> compiled = compileStrategy(
+                circuit.value(), Strategy::kClsAggregation, context);
             double elapsed = nowNs() - start;
             if (!compiled.isOk()) {
                 std::fprintf(stderr, "full pipeline %s: %s\n",

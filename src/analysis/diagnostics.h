@@ -25,6 +25,7 @@
 
 #include "ir/circuit.h"
 #include "ir/gate.h"
+#include "util/json.h" // jsonEscape, kept visible to includers of this header
 
 namespace qaic {
 
@@ -200,9 +201,6 @@ struct AppliedFixes
  */
 AppliedFixes applySuggestedFixes(const Circuit &circuit,
                                  const std::vector<SuggestedFix> &fixes);
-
-/** JSON string escaping for the report serializer. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace qaic
 

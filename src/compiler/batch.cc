@@ -1,7 +1,6 @@
 #include "compiler/batch.h"
 
 #include <atomic>
-#include <map>
 #include <sstream>
 
 #include "compiler/pipeline.h"
@@ -28,11 +27,11 @@ struct JobView
 
 /**
  * Claims job indices from a shared counter and compiles each over the
- * shared oracle. The CommutationChecker is worker-private and reused
- * across the worker's jobs (its cache is keyed by gate pairs, so it is
- * sound across circuits and devices); pipelines are immutable, so each
- * worker builds one per distinct strategy on demand. Each job's Status
- * lands in its own slot: one bad circuit never poisons its neighbours.
+ * shared oracle with compileStrategy. The CommutationChecker is
+ * worker-private and reused across the worker's jobs (its cache is
+ * keyed by gate pairs, so it is sound across circuits and devices).
+ * Each job's Status lands in its own slot: one bad circuit never
+ * poisons its neighbours.
  */
 void
 runJobs(std::span<const JobView> jobs, const CompilerOptions &options,
@@ -42,10 +41,6 @@ runJobs(std::span<const JobView> jobs, const CompilerOptions &options,
         std::vector<StatusOr<CompilationResult>> &results)
 {
     CommutationChecker checker;
-    std::map<Strategy, Pipeline> pipelines;
-    // Plain twins for the latency guard; only populated when the batch
-    // compiles with the optimizer on (see compileWithLatencyGuard).
-    std::map<Strategy, Pipeline> plain_pipelines;
     for (std::size_t i = next.fetch_add(1); i < jobs.size();
          i = next.fetch_add(1)) {
         if (preflight_failed[i])
@@ -56,30 +51,9 @@ runJobs(std::span<const JobView> jobs, const CompilerOptions &options,
             continue;
         }
         const JobView &job = jobs[i];
-        auto it = pipelines.find(job.strategy);
-        if (it == pipelines.end())
-            it = pipelines
-                     .emplace(job.strategy,
-                              Pipeline::forStrategy(job.strategy,
-                                                    options.analyze,
-                                                    options.optimize))
-                     .first;
         CompilationContext context(*job.device, options, oracle,
                                    &checker);
-        if (!options.optimize) {
-            results[i] = it->second.compile(*job.circuit, context);
-            continue;
-        }
-        auto plain = plain_pipelines.find(job.strategy);
-        if (plain == plain_pipelines.end())
-            plain = plain_pipelines
-                        .emplace(job.strategy,
-                                 Pipeline::forStrategy(job.strategy,
-                                                       options.analyze,
-                                                       /*optimize=*/false))
-                        .first;
-        results[i] = compileWithLatencyGuard(
-            it->second, plain->second, *job.circuit, context);
+        results[i] = compileStrategy(*job.circuit, job.strategy, context);
     }
 }
 

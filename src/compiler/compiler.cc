@@ -59,37 +59,11 @@ Compiler::Compiler(DeviceModel device, CompilerOptions options)
 {
 }
 
-// Out of line because Pipeline is incomplete in the header.
-Compiler::~Compiler() = default;
-Compiler::Compiler(Compiler &&) noexcept = default;
-Compiler &Compiler::operator=(Compiler &&) noexcept = default;
-
 StatusOr<CompilationResult>
 Compiler::tryCompile(const Circuit &logical, Strategy strategy)
 {
-    auto it = pipelines_.find(strategy);
-    if (it == pipelines_.end())
-        it = pipelines_
-                 .emplace(strategy,
-                          std::make_unique<Pipeline>(Pipeline::forStrategy(
-                              strategy, options_.analyze,
-                              options_.optimize)))
-                 .first;
     CompilationContext context(device_, options_, oracle_, &checker_);
-    if (!options_.optimize)
-        return it->second->compile(logical, context);
-    // Optimizing compiles go through the latency guard, which may rerun
-    // the plain twin of this pipeline to keep the never-worse promise.
-    auto plain = plainPipelines_.find(strategy);
-    if (plain == plainPipelines_.end())
-        plain = plainPipelines_
-                    .emplace(strategy, std::make_unique<Pipeline>(
-                                           Pipeline::forStrategy(
-                                               strategy, options_.analyze,
-                                               /*optimize=*/false)))
-                    .first;
-    return compileWithLatencyGuard(*it->second, *plain->second, logical,
-                                   context);
+    return compileStrategy(logical, strategy, context);
 }
 
 CompilationResult

@@ -28,7 +28,6 @@
 #ifndef QAIC_COMPILER_COMPILER_H
 #define QAIC_COMPILER_COMPILER_H
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,8 +45,6 @@
 
 namespace qaic {
 
-class CompilationContext;
-class Pipeline;
 struct PassMetrics;
 
 /** Compilation strategy selector. */
@@ -228,8 +225,8 @@ struct CompilationResult
 };
 
 /**
- * End-to-end compiler bound to a device — a facade over
- * Pipeline::forStrategy that persists the latency oracle and
+ * End-to-end compiler bound to a device — a forwarding shim over
+ * compileStrategy (pipeline.h) that persists the latency oracle and
  * commutation checker across compiles so repeated instructions are
  * priced once.
  */
@@ -238,9 +235,6 @@ class Compiler
   public:
     /** Creates a compiler for @p device with @p options. */
     explicit Compiler(DeviceModel device, CompilerOptions options = {});
-    ~Compiler();
-    Compiler(Compiler &&) noexcept;
-    Compiler &operator=(Compiler &&) noexcept;
 
     /**
      * Compiles @p logical under @p strategy, reporting recoverable
@@ -276,15 +270,6 @@ class Compiler
     CompilerOptions options_;
     CommutationChecker checker_;
     std::shared_ptr<CachingOracle> oracle_;
-    /** forStrategy pipelines, built once per strategy used. */
-    std::map<Strategy, std::unique_ptr<Pipeline>> pipelines_;
-    /**
-     * Plain (optimize-off) twins of pipelines_, built only when
-     * options_.optimize is set: compileWithLatencyGuard reruns the
-     * plain pipeline whenever the optimizer changed the circuit and
-     * keeps whichever result routed to the lower makespan.
-     */
-    std::map<Strategy, std::unique_ptr<Pipeline>> plainPipelines_;
 };
 
 } // namespace qaic

@@ -366,6 +366,20 @@ compileWithLatencyGuard(const Pipeline &optimized, const Pipeline &plain,
     return kept;
 }
 
+StatusOr<CompilationResult>
+compileStrategy(const Circuit &logical, Strategy strategy,
+                CompilationContext &context)
+{
+    const CompilerOptions &options = context.options();
+    Pipeline pipeline =
+        Pipeline::forStrategy(strategy, options.analyze, options.optimize);
+    if (!options.optimize)
+        return pipeline.compile(logical, context);
+    return compileWithLatencyGuard(
+        pipeline, Pipeline::forStrategy(strategy, options.analyze),
+        logical, context);
+}
+
 // --- Passes ----------------------------------------------------------
 
 namespace {

@@ -18,6 +18,9 @@
  *                       yields the canonical list for each Strategy,
  *                       and custom pipelines compose the same passes
  *                       in new orders (see docs/ARCHITECTURE.md).
+ *  - compileStrategy    the one strategy-driven compile (forStrategy
+ *                       plus the optimizer's latency guard) that every
+ *                       front door calls.
  *
  * Option resolution (the single documented place where user-supplied
  * CompilerOptions are reconciled with the device) lives here as
@@ -319,6 +322,18 @@ StatusOr<CompilationResult>
 compileWithLatencyGuard(const Pipeline &optimized, const Pipeline &plain,
                         const Circuit &logical,
                         CompilationContext &context);
+
+/**
+ * Compiles @p logical under @p strategy — the one place that turns a
+ * strategy into a compile. Builds Pipeline::forStrategy with the
+ * context's analyze/optimize options and runs it; when optimize is set
+ * the run goes through compileWithLatencyGuard against the plain
+ * (optimize-off) twin. The Compiler facade, compileBatch and the
+ * compilation service all compile through here.
+ */
+StatusOr<CompilationResult> compileStrategy(const Circuit &logical,
+                                            Strategy strategy,
+                                            CompilationContext &context);
 
 // --- Canonical passes (Figure 5 boxes) -------------------------------
 

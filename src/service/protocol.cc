@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analysis/diagnostics.h" // jsonEscape
+#include "util/json.h"
 
 namespace qaic::service {
 

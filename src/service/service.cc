@@ -25,6 +25,18 @@ QAIC_DEFINE_FAILPOINT(flushDuringRequestFp, "service_flush_during_request",
 /** Promotions must beat (or tie) tier 0; ties within rounding stay. */
 constexpr double kGuardEpsilonNs = 1e-9;
 
+/** 64-bit FNV-1a: the exposed fingerprint and the cache shard index. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
 } // namespace
 
 /**
@@ -47,6 +59,31 @@ struct CompileService::Artifact
     bool degraded = false;
     std::string degradedReason;
     std::vector<ReplyScheduleOp> schedule;
+
+    /** Snapshots @p result as the tier-@p tier answer for @p key. */
+    static std::shared_ptr<const Artifact>
+    fromResult(const CompilationResult &result, int tier,
+               double tier0_latency, Strategy strategy,
+               const std::string &key)
+    {
+        auto artifact = std::make_shared<Artifact>();
+        artifact->tier = tier;
+        artifact->strategy = strategyName(strategy);
+        artifact->fingerprint = requestFingerprint(key);
+        artifact->latencyNs = result.latencyNs;
+        artifact->tier0LatencyNs = tier0_latency;
+        artifact->swaps = result.swapCount;
+        artifact->instructions = result.instructionCount;
+        artifact->aggregates = result.aggregateCount;
+        artifact->maxWidth = result.maxWidth;
+        artifact->degraded = result.degraded;
+        artifact->degradedReason = result.degradedReason;
+        artifact->schedule.reserve(result.schedule.ops.size());
+        for (const ScheduledOp &op : result.schedule.ops)
+            artifact->schedule.push_back(
+                {op.start, op.duration, op.gate.toString()});
+        return artifact;
+    }
 };
 
 struct CompileService::CacheEntry
@@ -86,14 +123,9 @@ canonicalRequestKey(const CompileRequest &request, const Circuit &circuit)
 std::string
 requestFingerprint(const std::string &canonical_key)
 {
-    std::uint64_t hash = 14695981039346656037ull;
-    for (unsigned char c : canonical_key) {
-        hash ^= c;
-        hash *= 1099511628211ull;
-    }
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(hash));
+                  static_cast<unsigned long long>(fnv1a(canonical_key)));
     return buf;
 }
 
@@ -175,12 +207,7 @@ CompileService::~CompileService() { shutdown(); }
 CompileService::CacheShard &
 CompileService::shardFor(const std::string &key)
 {
-    std::uint64_t hash = 14695981039346656037ull;
-    for (unsigned char c : key) {
-        hash ^= c;
-        hash *= 1099511628211ull;
-    }
-    return shards_[hash % kCacheShards];
+    return shards_[fnv1a(key) % kCacheShards];
 }
 
 void
@@ -344,17 +371,7 @@ CompileService::compileTier(const CompileRequest &request,
                              circuit.numQubits(), opts.seed));
     CompilationContext context(device, opts,
                                tier == 0 ? tier0Oracle_ : tier1Oracle_);
-    if (tier == 1 && opts.optimize) {
-        Pipeline optimized = Pipeline::forStrategy(request.strategy,
-                                                   /*analyze=*/false,
-                                                   /*optimize=*/true);
-        Pipeline plain = Pipeline::forStrategy(request.strategy);
-        return compileWithLatencyGuard(optimized, plain, circuit, context);
-    }
-    Pipeline pipeline = Pipeline::forStrategy(request.strategy,
-                                              /*analyze=*/false,
-                                              tier == 1 && opts.optimize);
-    return pipeline.compile(circuit, context);
+    return compileStrategy(circuit, request.strategy, context);
 }
 
 ServiceReply
@@ -450,37 +467,19 @@ CompileService::process(const CompileRequest &request)
         return errorReply(request.id, compiled.status());
     }
     const CompilationResult &result = compiled.value();
-
-    auto artifact = std::make_shared<Artifact>();
-    artifact->tier = 0;
-    artifact->strategy = strategyName(request.strategy);
-    artifact->fingerprint = requestFingerprint(key);
-    artifact->latencyNs = result.latencyNs;
-    artifact->tier0LatencyNs = result.latencyNs;
-    artifact->swaps = result.swapCount;
-    artifact->instructions = result.instructionCount;
-    artifact->aggregates = result.aggregateCount;
-    artifact->maxWidth = result.maxWidth;
-    artifact->degraded = result.degraded;
-    artifact->degradedReason = result.degradedReason;
-    artifact->schedule.reserve(result.schedule.ops.size());
-    for (const ScheduledOp &op : result.schedule.ops)
-        artifact->schedule.push_back(
-            {op.start, op.duration, op.gate.toString()});
-
-    std::shared_ptr<const Artifact> served = artifact;
+    std::shared_ptr<const Artifact> served = Artifact::fromResult(
+        result, /*tier=*/0, result.latencyNs, request.strategy, key);
     {
         CacheShard &shard = shardFor(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto [it, inserted] = shard.entries.try_emplace(key);
         if (inserted) {
-            it->second.artifact = std::move(artifact);
-        } else if (it->second.artifact->tier == 0) {
-            // A racing worker inserted the identical tier-0 artifact;
-            // keep it. Never clobber a tier-1 artifact with tier 0.
-            served = it->second.artifact;
+            it->second.artifact = served;
         } else {
-            served = it->second.artifact; // promoted while we compiled
+            // A racing worker inserted the identical tier-0 artifact,
+            // or the entry was promoted while we compiled: keep it, and
+            // never clobber a tier-1 artifact with tier 0.
+            served = it->second.artifact;
         }
         it->second.hits++;
         maybeQueuePromotion(key, request, it->second);
@@ -594,23 +593,8 @@ CompileService::promote(const PromotionJob &job)
         return;
     }
 
-    auto artifact = std::make_shared<Artifact>();
-    artifact->tier = 1;
-    artifact->strategy = strategyName(job.request.strategy);
-    artifact->fingerprint = requestFingerprint(job.key);
-    artifact->latencyNs = result.latencyNs;
-    artifact->tier0LatencyNs = tier0_latency;
-    artifact->swaps = result.swapCount;
-    artifact->instructions = result.instructionCount;
-    artifact->aggregates = result.aggregateCount;
-    artifact->maxWidth = result.maxWidth;
-    artifact->degraded = result.degraded;
-    artifact->degradedReason = result.degradedReason;
-    artifact->schedule.reserve(result.schedule.ops.size());
-    for (const ScheduledOp &op : result.schedule.ops)
-        artifact->schedule.push_back(
-            {op.start, op.duration, op.gate.toString()});
-
+    std::shared_ptr<const Artifact> artifact = Artifact::fromResult(
+        result, /*tier=*/1, tier0_latency, job.request.strategy, job.key);
     {
         // The atomic swap: one shared_ptr assignment under the shard
         // lock. Readers snapshot the pointer under the same lock, so

@@ -275,7 +275,8 @@ TEST(BatchTest, MatchesSequentialOnWorkloadSuite)
 {
     // Down-scaled suite workloads across every strategy, compiled on 4
     // threads with a shared cache — results must be bitwise identical
-    // to the sequential facade for the same (default) seed.
+    // to the sequential facade for the same (default) seed, both on the
+    // plain path and on the optimizer's latency-guarded path.
     std::vector<BatchJob> jobs;
     for (const char *name : {"MAXCUT-line", "Ising-n30", "UCCSD-n4"}) {
         Circuit circuit = benchmarkByName(name, 0.3).circuit;
@@ -284,24 +285,40 @@ TEST(BatchTest, MatchesSequentialOnWorkloadSuite)
             jobs.push_back({circuit, device, s});
     }
 
-    std::vector<CompilationResult> batch = unwrapBatch(
-        compileBatch(std::span<const BatchJob>(jobs), CompilerOptions{},
-                     /*threads=*/4));
-    ASSERT_EQ(batch.size(), jobs.size());
+    for (bool optimize : {false, true}) {
+        SCOPED_TRACE(optimize ? "optimize=true" : "optimize=false");
+        CompilerOptions options;
+        options.optimize = optimize;
+        std::vector<CompilationResult> batch = unwrapBatch(
+            compileBatch(std::span<const BatchJob>(jobs), options,
+                         /*threads=*/4));
+        ASSERT_EQ(batch.size(), jobs.size());
 
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        Compiler sequential(jobs[i].device);
-        CompilationResult expected =
-            sequential.compile(jobs[i].circuit, jobs[i].strategy);
-        EXPECT_EQ(batch[i].latencyNs, expected.latencyNs) << i;
-        EXPECT_EQ(batch[i].swapCount, expected.swapCount) << i;
-        EXPECT_EQ(batch[i].instructionCount, expected.instructionCount)
-            << i;
-        EXPECT_EQ(batch[i].aggregateCount, expected.aggregateCount) << i;
-        std::string error;
-        EXPECT_TRUE(batch[i].schedule.validate(
-            jobs[i].device.numQubits(), &error))
-            << i << ": " << error;
+        // The guard only runs its plain twin when the optimizer rewrote
+        // the circuit, so make sure the optimized batch exercises it.
+        int guarded = 0;
+        for (const CompilationResult &r : batch)
+            guarded += r.optStats.changed() || r.optStats.latencyFallbacks;
+        EXPECT_EQ(guarded > 0, optimize);
+
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            Compiler sequential(jobs[i].device, options);
+            CompilationResult expected =
+                sequential.compile(jobs[i].circuit, jobs[i].strategy);
+            EXPECT_EQ(batch[i].latencyNs, expected.latencyNs) << i;
+            EXPECT_EQ(batch[i].swapCount, expected.swapCount) << i;
+            EXPECT_EQ(batch[i].instructionCount, expected.instructionCount)
+                << i;
+            EXPECT_EQ(batch[i].aggregateCount, expected.aggregateCount)
+                << i;
+            EXPECT_EQ(batch[i].optStats.latencyFallbacks,
+                      expected.optStats.latencyFallbacks)
+                << i;
+            std::string error;
+            EXPECT_TRUE(batch[i].schedule.validate(
+                jobs[i].device.numQubits(), &error))
+                << i << ": " << error;
+        }
     }
 }
 

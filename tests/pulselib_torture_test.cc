@@ -21,8 +21,25 @@
 namespace qaic {
 namespace {
 
-const char *kPath = "pulselib_torture.qplb";
-const char *kQuarantine = "pulselib_torture.qplb.corrupt";
+/**
+ * Backing file of the running test. `ctest -j` runs each test as its
+ * own process, in parallel and in one working directory, so every test
+ * needs a file of its own.
+ */
+std::string
+libraryPath()
+{
+    return std::string("pulselib_torture_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           ".qplb";
+}
+
+/** Where PulseLibrary::load moves a corrupt libraryPath() aside. */
+std::string
+quarantinePath()
+{
+    return libraryPath() + ".corrupt";
+}
 
 std::string
 readFile(const std::string &path)
@@ -63,8 +80,8 @@ fnv1a(const char *data, std::size_t size,
 std::string
 validLibraryBytes()
 {
-    std::remove(kPath);
-    PulseLibrary lib(kPath);
+    std::remove(libraryPath().c_str());
+    PulseLibrary lib(libraryPath());
     PulseLibraryEntry rich;
     rich.origin = "grape";
     rich.latencyNs = 17.5;
@@ -80,8 +97,8 @@ validLibraryBytes()
     lib.insert("key-a", std::move(a));
     lib.insert("key-b", std::move(b));
     EXPECT_TRUE(lib.flush().isOk());
-    std::string bytes = readFile(kPath);
-    std::remove(kPath);
+    std::string bytes = readFile(libraryPath());
+    std::remove(libraryPath().c_str());
     return bytes;
 }
 
@@ -90,13 +107,13 @@ class PulselibTortureTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        std::remove(kPath);
-        std::remove(kQuarantine);
+        std::remove(libraryPath().c_str());
+        std::remove(quarantinePath().c_str());
     }
     void TearDown() override
     {
-        std::remove(kPath);
-        std::remove(kQuarantine);
+        std::remove(libraryPath().c_str());
+        std::remove(quarantinePath().c_str());
     }
 };
 
@@ -105,17 +122,17 @@ class PulselibTortureTest : public ::testing::Test
 void
 expectQuarantined(const std::string &bytes, const std::string &what)
 {
-    writeFile(kPath, bytes);
-    PulseLibrary fresh(kPath);
+    writeFile(libraryPath(), bytes);
+    PulseLibrary fresh(libraryPath());
     Status loaded = fresh.load();
     ASSERT_EQ(loaded.code(), StatusCode::kDataLoss)
         << what << ": " << loaded.toString();
     EXPECT_EQ(fresh.size(), 0u) << what;
-    EXPECT_FALSE(fileExists(kPath))
+    EXPECT_FALSE(fileExists(libraryPath()))
         << what << ": corrupt file must be moved aside";
-    EXPECT_TRUE(fileExists(kQuarantine)) << what;
+    EXPECT_TRUE(fileExists(quarantinePath())) << what;
     EXPECT_EQ(fresh.load().code(), StatusCode::kNotFound) << what;
-    std::remove(kQuarantine);
+    std::remove(quarantinePath().c_str());
 }
 
 TEST_F(PulselibTortureTest, EveryTruncationDepthIsDetected)
@@ -130,12 +147,12 @@ TEST_F(PulselibTortureTest, EveryTruncationDepthIsDetected)
 
     // After any amount of torture, a fresh library on the same path
     // saves and reloads cleanly — torn writes never poison the future.
-    PulseLibrary fresh(kPath);
+    PulseLibrary fresh(libraryPath());
     PulseLibraryEntry entry;
     entry.latencyNs = 1.0;
     fresh.insert("post-torture", std::move(entry));
     ASSERT_TRUE(fresh.flush().isOk());
-    PulseLibrary check(kPath);
+    PulseLibrary check(libraryPath());
     ASSERT_TRUE(check.load().isOk());
     EXPECT_EQ(check.size(), 1u);
 }
@@ -165,8 +182,8 @@ TEST_F(PulselibTortureTest, HeaderFlipFailsChecksumNotHeuristics)
     // plausibility bounds.
     std::string bytes = validLibraryBytes();
     bytes[8] = static_cast<char>(bytes[8] ^ 0x01); // count LSB
-    writeFile(kPath, bytes);
-    Status loaded = PulseLibrary(kPath).load();
+    writeFile(libraryPath(), bytes);
+    Status loaded = PulseLibrary(libraryPath()).load();
     ASSERT_EQ(loaded.code(), StatusCode::kDataLoss);
     EXPECT_NE(loaded.message().find("checksum mismatch"),
               std::string::npos)
@@ -185,8 +202,8 @@ TEST_F(PulselibTortureTest, LegacyV1FilesAreStillRead)
         fnv1a(bytes.data() + 24, bytes.size() - 24);
     std::memcpy(&bytes[16], &body_sum, sizeof(body_sum));
 
-    writeFile(kPath, bytes);
-    PulseLibrary lib(kPath);
+    writeFile(libraryPath(), bytes);
+    PulseLibrary lib(libraryPath());
     Status loaded = lib.load();
     ASSERT_TRUE(loaded.isOk())
         << "v1 files must remain readable: " << loaded.toString();
@@ -199,7 +216,7 @@ TEST_F(PulselibTortureTest, LegacyV1FilesAreStillRead)
     // A re-flush upgrades the file to the current version in place.
     lib.insert("new-key", PulseLibraryEntry{});
     ASSERT_TRUE(lib.flush().isOk());
-    std::string upgraded = readFile(kPath);
+    std::string upgraded = readFile(libraryPath());
     std::uint32_t version = 0;
     std::memcpy(&version, upgraded.data() + 4, sizeof(version));
     EXPECT_EQ(version, PulseLibrary::kFormatVersion);

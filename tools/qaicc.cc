@@ -70,6 +70,7 @@
 #include "compiler/pulseplan.h"
 #include "device/topology.h"
 #include "ir/qasm.h"
+#include "util/json.h"
 #include "verify/verify.h"
 #include "workloads/suite.h"
 
