@@ -63,24 +63,6 @@ mergeGates(const Gate &first, const Gate &second)
     return makeAggregate(std::move(members), std::move(label), 2);
 }
 
-/** Makespan of @p circuit under ASAP scheduling with oracle latencies. */
-double
-asapMakespan(const Circuit &circuit, LatencyOracle &oracle)
-{
-    std::vector<double> free_at(circuit.numQubits(), 0.0);
-    double makespan = 0.0;
-    for (const Gate &g : circuit.gates()) {
-        double start = 0.0;
-        for (int q : g.qubits)
-            start = std::max(start, free_at[q]);
-        double fin = start + oracle.latencyNs(g);
-        for (int q : g.qubits)
-            free_at[q] = fin;
-        makespan = std::max(makespan, fin);
-    }
-    return makespan;
-}
-
 /** True if the two gates share at least one qubit. */
 bool
 overlaps(const Gate &a, const Gate &b)
@@ -91,36 +73,113 @@ overlaps(const Gate &a, const Gate &b)
     return false;
 }
 
-/** Support size of the union of two gates' supports. */
+/**
+ * Support size of the union of two gates' supports. A gate's own qubits
+ * are distinct (the gate constructors check it).
+ */
 int
 mergedWidth(const Gate &a, const Gate &b)
 {
-    std::set<int> s(a.qubits.begin(), a.qubits.end());
-    s.insert(b.qubits.begin(), b.qubits.end());
-    return static_cast<int>(s.size());
+    int width = a.width();
+    for (int q : b.qubits)
+        width += !a.actsOn(q);
+    return width;
 }
 
 /**
- * Reorders gates @p i and @p j of @p circuit to be adjacent and replaces
- * the pair with their merged aggregate. Requires canMakeAdjacent.
+ * Starts @p gate once all its qubits are free, marks them busy until it
+ * finishes in @p free_at, and returns that finish time.
  */
-Circuit
-applyMerge(const Circuit &circuit, std::size_t i, std::size_t j,
-           CommutationChecker *checker)
+double
+placeAsap(const Gate &gate, double latency, std::vector<double> &free_at)
 {
-    std::size_t at = 0;
-    Circuit reordered = makeAdjacent(circuit, i, j, checker, &at);
-    Circuit merged(circuit.numQubits());
-    for (std::size_t k = 0; k < reordered.size(); ++k) {
-        if (k == at) {
-            merged.add(mergeGates(reordered.gates()[at],
-                                  reordered.gates()[at + 1]));
-            ++k;
-        } else {
-            merged.add(reordered.gates()[k]);
+    double start = 0.0;
+    for (int q : gate.qubits)
+        start = std::max(start, free_at[q]);
+    double fin = start + latency;
+    for (int q : gate.qubits)
+        free_at[q] = fin;
+    return fin;
+}
+
+/**
+ * One round's ASAP schedule of the current circuit, each gate priced
+ * once, kept for scoring every candidate merge of the round.
+ */
+struct BaseSchedule
+{
+    std::vector<double> latency;
+    std::vector<double> finish;
+    /** suffixMax[k] = max(0, finish[k..n)); suffixMax[0] is the makespan. */
+    std::vector<double> suffixMax;
+
+    void
+    price(const Circuit &circuit, LatencyOracle &oracle)
+    {
+        const auto &gates = circuit.gates();
+        const std::size_t n = gates.size();
+        std::vector<double> free_at(circuit.numQubits(), 0.0);
+        latency.resize(n);
+        finish.resize(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            latency[k] = oracle.latencyNs(gates[k]);
+            finish[k] = placeAsap(gates[k], latency[k], free_at);
+        }
+        suffixMax.assign(n + 1, 0.0);
+        for (std::size_t k = n; k-- > 0;)
+            suffixMax[k] = std::max(suffixMax[k + 1], finish[k]);
+    }
+};
+
+/**
+ * ASAP makespan of @p gates after merging @p gates[i] and @p gates[j]
+ * into @p merged (placed where @p move puts the pair), without building
+ * that circuit. Gates before i keep their base finish times
+ * (@p prefix_max) and leave the base frontier @p front. The reordered
+ * region [i, j] is simulated with the merged aggregate; later gates are
+ * replayed only while some qubit's finish time differs from the base
+ * schedule's, after which the base suffix maximum gives the rest. Every
+ * finish time is formed by the same adds and maxes as a full ASAP sweep
+ * of the merged circuit, so the result is bit-identical to one. The
+ * merged aggregate is the only gate priced.
+ */
+double
+mergedMakespan(const std::vector<Gate> &gates, const BaseSchedule &base,
+               const std::vector<double> &front, double prefix_max,
+               std::size_t i, std::size_t j, AdjacentMove move,
+               const Gate &merged, LatencyOracle &oracle)
+{
+    std::vector<double> mine = front;
+    std::vector<double> theirs = front;
+    double makespan = prefix_max;
+    auto place = [&](const Gate &g, double latency) {
+        makespan = std::max(makespan, placeAsap(g, latency, mine));
+    };
+    if (move == AdjacentMove::kJLeft)
+        place(merged, oracle.latencyNs(merged));
+    for (std::size_t k = i + 1; k < j; ++k)
+        place(gates[k], base.latency[k]);
+    if (move == AdjacentMove::kIRight)
+        place(merged, oracle.latencyNs(merged));
+    for (std::size_t k = i; k <= j; ++k)
+        for (int q : gates[k].qubits)
+            theirs[q] = base.finish[k];
+
+    std::size_t differing = 0;
+    for (std::size_t q = 0; q < mine.size(); ++q)
+        differing += mine[q] != theirs[q];
+    std::size_t k = j + 1;
+    for (; differing > 0 && k < gates.size(); ++k) {
+        const Gate &g = gates[k];
+        for (int q : g.qubits)
+            differing -= mine[q] != theirs[q];
+        place(g, base.latency[k]);
+        for (int q : g.qubits) {
+            theirs[q] = base.finish[k];
+            differing += mine[q] != theirs[q];
         }
     }
-    return merged;
+    return std::max(makespan, base.suffixMax[k]);
 }
 
 } // namespace
@@ -238,13 +297,15 @@ aggregateInstructions(const Circuit &circuit, CommutationChecker *checker,
     QAIC_CHECK(checker != nullptr);
     AggregationResult result;
     result.circuit = circuit;
+    BaseSchedule base;
 
     for (int round = 0; round < options.maxRounds; ++round) {
         result.rounds = round + 1;
         const Circuit &current = result.circuit;
         const auto &gates = current.gates();
         const std::size_t n = gates.size();
-        double base_makespan = asapMakespan(current, oracle);
+        base.price(current, oracle);
+        const double base_makespan = base.suffixMax[0];
 
         // Candidate actions: each instruction pairs with the nearest later
         // instruction sharing a qubit (its GDG child), if movable next to
@@ -254,8 +315,11 @@ aggregateInstructions(const Circuit &circuit, CommutationChecker *checker,
         {
             std::size_t i, j;
             double gain;
+            AdjacentMove move;
         };
         std::vector<Action> actions;
+        std::vector<double> front(current.numQubits(), 0.0);
+        double prefix_max = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
             std::size_t limit = std::min(n, i + 1 + options.mobilityWindow);
             for (std::size_t j = i + 1; j < limit; ++j) {
@@ -263,58 +327,67 @@ aggregateInstructions(const Circuit &circuit, CommutationChecker *checker,
                     continue;
                 if (mergedWidth(gates[i], gates[j]) > options.maxWidth)
                     break; // Nearest partner too wide; stop pairing i.
-                if (!canMakeAdjacent(current, i, j, checker))
+                AdjacentMove move = adjacentMove(current, i, j, checker);
+                if (move == AdjacentMove::kNone)
                     break;
-                Circuit merged = applyMerge(current, i, j, checker);
-                double makespan = asapMakespan(merged, oracle);
+                double makespan = mergedMakespan(
+                    gates, base, front, prefix_max, i, j, move,
+                    mergeGates(gates[i], gates[j]), oracle);
                 if (makespan <= base_makespan + 1e-9)
-                    actions.push_back({i, j, base_makespan - makespan});
+                    actions.push_back({i, j, base_makespan - makespan, move});
                 break; // Only pair with the nearest overlapping partner.
             }
+            for (int q : gates[i].qubits)
+                front[q] = base.finish[i];
+            prefix_max = std::max(prefix_max, base.finish[i]);
         }
         if (actions.empty())
             break;
 
         // Apply a best-gain-first subset of actions whose [i, j] intervals
-        // are pairwise disjoint. Disjoint intervals keep index arithmetic
-        // exact: a merge confines all moves to [i, j] and removes exactly
-        // one gate, so later positions shift down by the number of merges
-        // applied before them.
+        // are pairwise disjoint. A merge confines all moves to its own
+        // interval, so every chosen merge reads the same gates and
+        // direction it was scored with, and one rebuild applies them all.
         std::stable_sort(actions.begin(), actions.end(),
                          [](const Action &a, const Action &b) {
                              return a.gain > b.gain;
                          });
-        std::vector<std::pair<std::size_t, std::size_t>> chosen;
+        std::vector<const Action *> chosen;
         for (const Action &a : actions) {
             bool clash = false;
-            for (const auto &[ci, cj] : chosen)
-                if (a.i <= cj && ci <= a.j) {
+            for (const Action *c : chosen)
+                if (a.i <= c->j && c->i <= a.j) {
                     clash = true;
                     break;
                 }
             if (!clash)
-                chosen.emplace_back(a.i, a.j);
+                chosen.push_back(&a);
         }
-        std::sort(chosen.begin(), chosen.end());
+        std::sort(chosen.begin(), chosen.end(),
+                  [](const Action *a, const Action *b) {
+                      return a->i < b->i;
+                  });
 
-        Circuit work = result.circuit;
-        std::size_t removed = 0;
-        bool any = false;
-        for (auto [i, j] : chosen) {
-            std::size_t wi = i - removed;
-            std::size_t wj = j - removed;
-            // Mobility is invariant under the earlier disjoint merges,
-            // but re-check as a cheap safety net.
-            if (!canMakeAdjacent(work, wi, wj, checker))
-                continue;
-            work = applyMerge(work, wi, wj, checker);
-            ++removed;
-            ++result.actions;
-            any = true;
+        Circuit next(current.numQubits());
+        std::size_t k = 0;
+        for (const Action *a : chosen) {
+            for (; k < a->i; ++k)
+                next.add(gates[k]);
+            // The moving gate leaves its slot; the merged pair takes the
+            // slot of the one that stays.
+            std::size_t merge_at =
+                a->move == AdjacentMove::kJLeft ? a->i : a->j;
+            for (; k <= a->j; ++k) {
+                if (k == merge_at)
+                    next.add(mergeGates(gates[a->i], gates[a->j]));
+                else if (k != a->i && k != a->j)
+                    next.add(gates[k]);
+            }
         }
-        result.circuit = std::move(work);
-        if (!any)
-            break;
+        for (; k < n; ++k)
+            next.add(gates[k]);
+        result.actions += static_cast<int>(chosen.size());
+        result.circuit = std::move(next);
     }
 
     result.circuit = labelAggregates(result.circuit);

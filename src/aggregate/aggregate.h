@@ -18,6 +18,25 @@
  *    latencies supplied by the pulse-latency oracle. Each round applies
  *    non-conflicting actions in best-gain-first order and re-evaluates,
  *    mirroring the paper's iterate-with-the-optimal-control-unit loop.
+ *
+ * A round is incremental. One ASAP sweep prices every gate once into
+ * latency and finish-time vectors (plus a suffix maximum of the finish
+ * times). A candidate merge (i, j) is then scored without building a
+ * circuit: starting from the base schedule's per-qubit frontier before
+ * i, the reordered region [i, j] is simulated with the merged aggregate,
+ * and later gates are replayed only while some qubit's finish time still
+ * differs from the base schedule; from there the base suffix maximum
+ * gives the rest of the makespan. The score uses the same adds and maxes
+ * as a full ASAP sweep of the merged circuit, so it is bit-identical to
+ * one. The chosen merges have disjoint intervals and are applied in one
+ * linear rebuild.
+ *
+ * Oracle traffic per round is one lookup per gate plus one per candidate
+ * (its merged aggregate). The sequence of *uncached* pricings is part of
+ * the pass's behaviour: CachingOracle keys narrow gates by their rounded
+ * unitary and keeps the first latency it prices, so every candidate that
+ * passes the overlap, width and adjacency checks prices its merged
+ * aggregate, in ascending i, and nothing else new is priced before it.
  */
 #ifndef QAIC_AGGREGATE_AGGREGATE_H
 #define QAIC_AGGREGATE_AGGREGATE_H

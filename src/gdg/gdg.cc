@@ -114,29 +114,36 @@ commutesWithRange(const Circuit &circuit, const Gate &who, std::size_t i,
 
 } // namespace
 
+AdjacentMove
+adjacentMove(const Circuit &circuit, std::size_t i, std::size_t j,
+             CommutationChecker *checker)
+{
+    QAIC_CHECK_LT(i, j);
+    QAIC_CHECK_LT(j, circuit.size());
+    if (j == i + 1 ||
+        commutesWithRange(circuit, circuit.gates()[j], i, j, checker))
+        return AdjacentMove::kJLeft;
+    if (commutesWithRange(circuit, circuit.gates()[i], i, j, checker))
+        return AdjacentMove::kIRight;
+    return AdjacentMove::kNone;
+}
+
 bool
 canMakeAdjacent(const Circuit &circuit, std::size_t i, std::size_t j,
                 CommutationChecker *checker)
 {
-    QAIC_CHECK_LT(i, j);
-    QAIC_CHECK_LT(j, circuit.size());
-    if (j == i + 1)
-        return true;
-    return commutesWithRange(circuit, circuit.gates()[j], i, j, checker) ||
-           commutesWithRange(circuit, circuit.gates()[i], i, j, checker);
+    return adjacentMove(circuit, i, j, checker) != AdjacentMove::kNone;
 }
 
 Circuit
 makeAdjacent(const Circuit &circuit, std::size_t i, std::size_t j,
              CommutationChecker *checker, std::size_t *merged_at)
 {
-    QAIC_CHECK(canMakeAdjacent(circuit, i, j, checker));
+    AdjacentMove move = adjacentMove(circuit, i, j, checker);
+    QAIC_CHECK(move != AdjacentMove::kNone);
     Circuit out(circuit.numQubits());
     const auto &gates = circuit.gates();
-
-    bool move_j_left =
-        j == i + 1 ||
-        commutesWithRange(circuit, gates[j], i, j, checker);
+    const bool move_j_left = move == AdjacentMove::kJLeft;
 
     for (std::size_t k = 0; k < circuit.size(); ++k) {
         if (move_j_left) {

@@ -67,17 +67,33 @@ class Gdg
     std::vector<std::vector<int>> groupIndex_;
 };
 
+/** Which gate of a pair i < j moves to make the two adjacent. */
+enum class AdjacentMove
+{
+    kNone,   ///< Neither can move: the pair cannot be made adjacent.
+    kJLeft,  ///< Gate j moves left next to i (also when j == i + 1).
+    kIRight, ///< Gate i moves right next to j.
+};
+
+/**
+ * How gates at positions @p i < @p j of @p circuit can be made adjacent
+ * by commuting-neighbour exchanges: gate j moves left if it commutes
+ * with every gate strictly between, otherwise gate i moves right if it
+ * does. Each side's commutation range is evaluated at most once.
+ */
+AdjacentMove adjacentMove(const Circuit &circuit, std::size_t i,
+                          std::size_t j, CommutationChecker *checker);
+
 /**
  * True if gates at positions @p i < @p j of @p circuit can be made
- * adjacent by commuting-neighbour exchanges: either gate j moves left
- * (commutes with every gate strictly between) or gate i moves right.
+ * adjacent by commuting-neighbour exchanges (adjacentMove is not kNone).
  */
 bool canMakeAdjacent(const Circuit &circuit, std::size_t i, std::size_t j,
                      CommutationChecker *checker);
 
 /**
  * Returns a copy of @p circuit in which gates @p i and @p j have been made
- * adjacent (at position pair determined by which side moved); requires
+ * adjacent (at position pair determined by adjacentMove); requires
  * canMakeAdjacent. The result is unitarily identical to the input.
  *
  * @param merged_at Receives the index of the first of the now-adjacent

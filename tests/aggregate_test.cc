@@ -2,16 +2,30 @@
  * @file
  * Tests for instruction aggregation: diagonal-block detection (4.2),
  * monotonic-action aggregation (4.3), width limits and semantics
- * preservation.
+ * preservation, plus a differential check of the incremental candidate
+ * scoring against a full-rebuild reference and a bound on its oracle
+ * traffic.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "aggregate/aggregate.h"
+#include "compiler/pipeline.h"
+#include "device/device.h"
+#include "gdg/gdg.h"
 #include "oracle/oracle.h"
 #include "schedule/schedule.h"
+#include "testing/generators.h"
 #include "verify/verify.h"
 #include "workloads/graphs.h"
 #include "workloads/qaoa.h"
+#include "workloads/suite.h"
 
 namespace qaic {
 namespace {
@@ -339,6 +353,367 @@ TEST(AggregationTest, QaoaEndToEndEquivalence)
     double before = scheduleAsap(c, oracle).makespan();
     double after = scheduleAsap(result.circuit, oracle).makespan();
     EXPECT_LT(after, before * 0.6);
+}
+
+// --- Incremental scoring vs. the full-rebuild reference -------------
+
+/**
+ * The aggregation loop as it was before candidate scoring became
+ * incremental: every candidate is moved with makeAdjacent, merged, and
+ * re-priced by a full ASAP sweep; the chosen merges are applied one
+ * circuit copy at a time. Kept verbatim (helpers included) as the
+ * reference the incremental loop must match exactly.
+ */
+namespace reference {
+
+void
+collectMembers(const Gate &gate, std::vector<Gate> *out)
+{
+    if (gate.kind == GateKind::kAggregate) {
+        for (const Gate &m : gate.payload->members)
+            collectMembers(m, out);
+    } else {
+        out->push_back(gate);
+    }
+}
+
+std::string
+provenanceLabel(const Gate &gate)
+{
+    if (gate.kind == GateKind::kAggregate && gate.payload &&
+        !gate.payload->label.empty())
+        return gate.payload->label;
+    return gate.name();
+}
+
+std::string
+boundLabel(std::string label)
+{
+    if (label.size() > 64)
+        label = label.substr(0, 63) + "~";
+    return label;
+}
+
+Gate
+mergeGates(const Gate &first, const Gate &second)
+{
+    std::vector<Gate> members;
+    collectMembers(first, &members);
+    collectMembers(second, &members);
+    std::string label = boundLabel(provenanceLabel(first) + "+" +
+                                   provenanceLabel(second));
+    return makeAggregate(std::move(members), std::move(label), 2);
+}
+
+double
+asapMakespan(const Circuit &circuit, LatencyOracle &oracle)
+{
+    std::vector<double> free_at(circuit.numQubits(), 0.0);
+    double makespan = 0.0;
+    for (const Gate &g : circuit.gates()) {
+        double start = 0.0;
+        for (int q : g.qubits)
+            start = std::max(start, free_at[q]);
+        double fin = start + oracle.latencyNs(g);
+        for (int q : g.qubits)
+            free_at[q] = fin;
+        makespan = std::max(makespan, fin);
+    }
+    return makespan;
+}
+
+bool
+overlaps(const Gate &a, const Gate &b)
+{
+    for (int q : a.qubits)
+        if (b.actsOn(q))
+            return true;
+    return false;
+}
+
+int
+mergedWidth(const Gate &a, const Gate &b)
+{
+    std::set<int> s(a.qubits.begin(), a.qubits.end());
+    s.insert(b.qubits.begin(), b.qubits.end());
+    return static_cast<int>(s.size());
+}
+
+Circuit
+applyMerge(const Circuit &circuit, std::size_t i, std::size_t j,
+           CommutationChecker *checker)
+{
+    std::size_t at = 0;
+    Circuit reordered = makeAdjacent(circuit, i, j, checker, &at);
+    Circuit merged(circuit.numQubits());
+    for (std::size_t k = 0; k < reordered.size(); ++k) {
+        if (k == at) {
+            merged.add(mergeGates(reordered.gates()[at],
+                                  reordered.gates()[at + 1]));
+            ++k;
+        } else {
+            merged.add(reordered.gates()[k]);
+        }
+    }
+    return merged;
+}
+
+AggregationResult
+aggregateInstructions(const Circuit &circuit, CommutationChecker *checker,
+                      LatencyOracle &oracle, AggregationOptions options)
+{
+    AggregationResult result;
+    result.circuit = circuit;
+    for (int round = 0; round < options.maxRounds; ++round) {
+        result.rounds = round + 1;
+        const Circuit &current = result.circuit;
+        const auto &gates = current.gates();
+        const std::size_t n = gates.size();
+        double base_makespan = asapMakespan(current, oracle);
+        struct Action
+        {
+            std::size_t i, j;
+            double gain;
+        };
+        std::vector<Action> actions;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t limit = std::min(n, i + 1 + options.mobilityWindow);
+            for (std::size_t j = i + 1; j < limit; ++j) {
+                if (!overlaps(gates[i], gates[j]))
+                    continue;
+                if (mergedWidth(gates[i], gates[j]) > options.maxWidth)
+                    break;
+                if (!canMakeAdjacent(current, i, j, checker))
+                    break;
+                Circuit merged = applyMerge(current, i, j, checker);
+                double makespan = asapMakespan(merged, oracle);
+                if (makespan <= base_makespan + 1e-9)
+                    actions.push_back({i, j, base_makespan - makespan});
+                break;
+            }
+        }
+        if (actions.empty())
+            break;
+        std::stable_sort(actions.begin(), actions.end(),
+                         [](const Action &a, const Action &b) {
+                             return a.gain > b.gain;
+                         });
+        std::vector<std::pair<std::size_t, std::size_t>> chosen;
+        for (const Action &a : actions) {
+            bool clash = false;
+            for (const auto &[ci, cj] : chosen)
+                if (a.i <= cj && ci <= a.j) {
+                    clash = true;
+                    break;
+                }
+            if (!clash)
+                chosen.emplace_back(a.i, a.j);
+        }
+        std::sort(chosen.begin(), chosen.end());
+        Circuit work = result.circuit;
+        std::size_t removed = 0;
+        bool any = false;
+        for (auto [i, j] : chosen) {
+            std::size_t wi = i - removed;
+            std::size_t wj = j - removed;
+            if (!canMakeAdjacent(work, wi, wj, checker))
+                continue;
+            work = applyMerge(work, wi, wj, checker);
+            ++removed;
+            ++result.actions;
+            any = true;
+        }
+        result.circuit = std::move(work);
+        if (!any)
+            break;
+    }
+    result.circuit = labelAggregates(result.circuit);
+    return result;
+}
+
+} // namespace reference
+
+/** Full rendering of a gate: kind, qubits, parameters, label, members. */
+std::string
+describe(const Gate &gate)
+{
+    std::string out = gate.toString();
+    if (gate.kind == GateKind::kAggregate) {
+        out += " [" + gate.payload->label + "]{";
+        for (const Gate &m : gate.payload->members)
+            out += describe(m) + ";";
+        out += "}";
+    }
+    return out;
+}
+
+/** Analytic pricing that records every gate it is asked to price. */
+class RecordingOracle : public LatencyOracle
+{
+  public:
+    double
+    latencyNs(const Gate &gate) override
+    {
+        priced.push_back(describe(gate));
+        return inner_.latencyNs(gate);
+    }
+    std::string name() const override { return "recording"; }
+
+    std::vector<std::string> priced;
+
+  private:
+    AnalyticOracle inner_;
+};
+
+/** Counts lookups while forwarding to a wrapped oracle. */
+class CountingOracle : public LatencyOracle
+{
+  public:
+    explicit CountingOracle(LatencyOracle &inner) : inner_(inner) {}
+    double
+    latencyNs(const Gate &gate) override
+    {
+        ++lookups;
+        return inner_.latencyNs(gate);
+    }
+    std::string name() const override { return "counting"; }
+
+    std::size_t lookups = 0;
+
+  private:
+    LatencyOracle &inner_;
+};
+
+/** What one aggregation run produced, and what it priced uncached. */
+struct AggregationTrace
+{
+    std::vector<std::string> gates;
+    int actions = 0;
+    int rounds = 0;
+    std::vector<std::string> misses;
+};
+
+/** Runs @p aggregate behind a cold CachingOracle over a recording one. */
+template <typename AggregateFn>
+AggregationTrace
+traceAggregation(AggregateFn aggregate, const Circuit &circuit,
+                 AggregationOptions options)
+{
+    auto recorder = std::make_shared<RecordingOracle>();
+    CachingOracle cache(recorder);
+    CommutationChecker checker;
+    AggregationResult result = aggregate(circuit, &checker, cache, options);
+    AggregationTrace trace;
+    for (const Gate &g : result.circuit.gates())
+        trace.gates.push_back(describe(g));
+    trace.actions = result.actions;
+    trace.rounds = result.rounds;
+    trace.misses = recorder->priced;
+    return trace;
+}
+
+/** Asserts the incremental and reference loops agree on @p circuit. */
+void
+expectMatchesReference(const Circuit &circuit, AggregationOptions options,
+                       const std::string &what)
+{
+    AggregationTrace want =
+        traceAggregation(reference::aggregateInstructions, circuit, options);
+    AggregationTrace got =
+        traceAggregation(aggregateInstructions, circuit, options);
+    EXPECT_EQ(got.gates, want.gates) << what;
+    EXPECT_EQ(got.actions, want.actions) << what;
+    EXPECT_EQ(got.rounds, want.rounds) << what;
+    EXPECT_EQ(got.misses, want.misses) << what;
+}
+
+/** @p logical lowered (optionally CLS-contracted) and routed on a grid. */
+Circuit
+mappedCircuit(const Circuit &logical, bool cls_frontend)
+{
+    DeviceModel device = DeviceModel::gridFor(logical.numQubits());
+    CompilationContext context(device, CompilerOptions{});
+    context.reset(logical, cls_frontend ? Strategy::kClsAggregation
+                                        : Strategy::kAggregation);
+    EXPECT_TRUE(FrontendLoweringPass().run(context).isOk());
+    if (cls_frontend) {
+        EXPECT_TRUE(ClsFrontendPass().run(context).isOk());
+    }
+    EXPECT_TRUE(MappingPass().run(context).isOk());
+    return context.working;
+}
+
+/** One reduced paper workload, routed with or without the CLS frontend. */
+class SuiteDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+TEST_P(SuiteDifferentialTest, MatchesFullRebuild)
+{
+    auto [name, cls_frontend] = GetParam();
+    Circuit mapped =
+        mappedCircuit(benchmarkByName(name, 0.3).circuit, cls_frontend);
+    expectMatchesReference(mapped, AggregationOptions{},
+                           name + (cls_frontend ? "/cls" : ""));
+}
+
+// One instance per program and frontend, so the slow reference runs
+// spread over ctest's workers.
+INSTANTIATE_TEST_SUITE_P(
+    ReducedPaperSuite, SuiteDifferentialTest,
+    ::testing::Combine(
+        ::testing::Values<std::string>(
+            "MAXCUT-line", "MAXCUT-reg4", "MAXCUT-cluster", "Ising-n30",
+            "Ising-n60", "sqrt-n3", "sqrt-n4", "sqrt-n5", "UCCSD-n4",
+            "UCCSD-n6"),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, bool>> &p) {
+        std::string name = std::get<0>(p.param);
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name + (std::get<1>(p.param) ? "_clsagg" : "_agg");
+    });
+
+TEST(AggregationDifferentialTest, SeededRandomCircuitsMatchFullRebuild)
+{
+    // Mixed and commutation-rich (diagonal) corpora, with width limits
+    // and mobility windows small enough to hit every early exit.
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        int qubits = 3 + static_cast<int>(seed % 5);
+        int gates = 20 + static_cast<int>(seed % 4) * 15;
+        Circuit circuit =
+            seed % 2 ? testing::randomCircuit(qubits, gates, seed)
+                     : testing::randomDiagonalCircuit(qubits, gates, seed);
+        AggregationOptions options;
+        options.maxWidth = 2 + static_cast<int>(seed % 4);
+        options.mobilityWindow = seed % 3 ? 200 : 4;
+        expectMatchesReference(circuit, options,
+                               "seed " + std::to_string(seed));
+    }
+}
+
+TEST(AggregationComplexityTest, RoundPricesEachGateOncePlusCandidates)
+{
+    // A round prices its circuit once (n lookups) and each candidate's
+    // merged aggregate once (at most n - 1 candidates). Scoring by
+    // re-pricing the whole circuit per candidate costs about n lookups
+    // per candidate instead, and fails this bound.
+    Circuit mapped =
+        mappedCircuit(benchmarkByName("UCCSD-n4").circuit, true);
+    const std::size_t n = mapped.size();
+    ASSERT_GT(n, 50u);
+    auto analytic = std::make_shared<AnalyticOracle>();
+    CachingOracle cache(analytic);
+    CountingOracle counter(cache);
+    CommutationChecker checker;
+    AggregationResult result =
+        aggregateInstructions(mapped, &checker, counter, {});
+    ASSERT_GT(result.actions, 0);
+    // The circuit only shrinks, so n bounds every round's size.
+    const std::size_t per_round = 2 * n + (n - 1);
+    EXPECT_LE(counter.lookups,
+              static_cast<std::size_t>(result.rounds) * per_round)
+        << "rounds " << result.rounds << ", n " << n;
 }
 
 } // namespace
