@@ -93,7 +93,8 @@ foldClaim(const FoldFinding &fold, const Circuit &circuit)
 /**
  * Cross-checks every removable claim with the equivalence engine.
  * Verified and refuted claims are kept (refutations counted);
- * undecidable claims are dropped and counted as suppressed. State
+ * undecidable claims are dropped and counted as suppressed. Unitary
+ * claims are proven on their removal window (verifyUnitaryClaim). State
  * claims outside the symbolic tiers are batched into one dense
  * simulation: gate g fixes the prefix state psi iff |<psi|g|psi>| = 1,
  * and then deleting g preserves the program on |0..0> because the
@@ -113,14 +114,13 @@ verifyClaims(const Circuit &circuit, std::vector<Diagnostic> claims,
             kept.push_back(std::move(d));
             continue;
         }
-        const Circuit fixed = applySuggestedFix(circuit, d.fix);
         EquivalenceReport r;
         if (d.mode == VerificationMode::kUnitary) {
-            r = analyzeCircuitsEquivalent(circuit, fixed,
-                                          options.equivalence);
+            r = verifyUnitaryClaim(circuit, d.fix, options.equivalence);
             d.verifyMethod = equivalenceMethodName(r.method);
         } else {
-            r = analyzeZeroStateEquivalent(circuit, fixed, symbolic);
+            r = analyzeZeroStateEquivalent(
+                circuit, applySuggestedFix(circuit, d.fix), symbolic);
             if (r.verdict == EquivalenceVerdict::kInconclusive) {
                 pending_dense.push_back(std::move(d));
                 continue;
@@ -191,6 +191,31 @@ verifyClaims(const Circuit &circuit, std::vector<Diagnostic> claims,
 }
 
 } // namespace
+
+EquivalenceReport
+verifyUnitaryClaim(const Circuit &circuit, const SuggestedFix &fix,
+                   const EquivalenceOptions &options)
+{
+    QAIC_CHECK(!fix.empty())
+        << "verifyUnitaryClaim called with an empty fix";
+    const int lo = fix.removeGates.front();
+    const int hi = fix.removeGates.back();
+    QAIC_CHECK(lo >= 0 && hi < static_cast<int>(circuit.size()))
+        << "fix removes gate indices beyond the circuit";
+    // The circuit is S.W.P and the fixed one S.W'.P, with W the gates
+    // [lo, hi] and W' the same slice with the fix applied; they agree up
+    // to global phase iff W and W' do.
+    Circuit window(circuit.numQubits());
+    for (int i = lo; i <= hi; ++i)
+        window.add(circuit.gates()[i]);
+    SuggestedFix local;
+    local.removeGates = fix.removeGates;
+    for (int &index : local.removeGates)
+        index -= lo;
+    local.insertGates = fix.insertGates;
+    return analyzeCircuitsEquivalent(
+        window, applySuggestedFix(window, local), options);
+}
 
 AnalysisReport
 analyzeCircuit(const Circuit &circuit, const AnalysisOptions &options,

@@ -11,7 +11,13 @@
  * equivalence engine before it is reported:
  *
  *  - unitary claims (identity rotations, adjoint pairs, rotation
- *    folds) through analyzeCircuitsEquivalent on the fixed circuit;
+ *    folds) through analyzeCircuitsEquivalent on their removal window
+ *    only (verifyUnitaryClaim): the gates from the fix's first to its
+ *    last removed index, against the same slice with the fix applied.
+ *    That is exact, not a heuristic — the circuit is S.W.P and the
+ *    fixed one S.W'.P, so they agree up to global phase iff W and W'
+ *    do — and a window of a few gates costs far less than a proof over
+ *    the whole gate list;
  *  - state claims (dead controls, gates absorbed by the reachable
  *    state) through analyzeZeroStateEquivalent — symbolically where
  *    the circuit is Clifford or affine+diagonal, and otherwise through
@@ -47,8 +53,10 @@ struct AnalysisOptions
     std::string stage = "logical";
     /**
      * Cross-check every removable claim with the equivalence engine
-     * (the default; turning this off is for differential tests that
-     * re-verify externally and for benchmarks).
+     * (the default). Turning this off is for callers that verify the
+     * claims they use themselves: differential tests that re-verify
+     * externally, benchmarks, and the optimizer's analyzer seed, which
+     * proves only the unitary claims it can apply (verifyUnitaryClaim).
      */
     bool verify = true;
     /** Longest backwards commuting walk for adjoint-pair detection. */
@@ -61,6 +69,19 @@ struct AnalysisOptions
     /** Engine knobs for the cross-checks. */
     EquivalenceOptions equivalence;
 };
+
+/**
+ * Proves the unitary claim @p fix on its removal window: the gates
+ * [lo, hi] of @p circuit, where lo and hi are the fix's first and last
+ * removed indices, against the same slice with the fix applied, both
+ * on the full register width. This decides the same property as a
+ * proof over the whole circuit (see the file comment); the engine
+ * method that reaches the verdict may differ, since a window can be
+ * Clifford or diagonal where the whole circuit is not.
+ */
+EquivalenceReport verifyUnitaryClaim(const Circuit &circuit,
+                                     const SuggestedFix &fix,
+                                     const EquivalenceOptions &options = {});
 
 /**
  * Runs the dataflow analysis over @p circuit. @p checker (optional) is

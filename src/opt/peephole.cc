@@ -191,7 +191,9 @@ eraseIdentityWindow(std::vector<Gate> &gates, PeepholeStats *stats)
 }
 
 /**
- * Applies the analyzer's verified unitary fixes as one batch. The batch
+ * Applies the analyzer's verified unitary fixes as one batch. Only the
+ * unitary claims are proven (each on its removal window); state claims
+ * are never applied here, so they are never verified either. The batch
  * is re-proven equivalent by the engine; if that proof does not go
  * through, only the first (individually verified) fix is applied.
  */
@@ -200,17 +202,29 @@ applyAnalyzerFixes(Circuit &circuit, CommutationChecker &checker)
 {
     AnalysisOptions analysis;
     analysis.stage = "opt-seed";
-    analysis.verify = true;
+    analysis.verify = false;
     analysis.informational = false;
     AnalysisReport report = analyzeCircuit(circuit, analysis, &checker);
 
-    std::vector<SuggestedFix> fixes;
+    std::vector<const Diagnostic *> proven;
     for (const Diagnostic &d : report.diagnostics)
-        if (d.removable && d.verified &&
-            d.mode == VerificationMode::kUnitary && !d.fix.empty())
-            fixes.push_back(d.fix);
-    if (fixes.empty())
+        if (d.removable && d.mode == VerificationMode::kUnitary &&
+            !d.fix.empty() &&
+            verifyUnitaryClaim(circuit, d.fix, analysis.equivalence)
+                .equivalent())
+            proven.push_back(&d);
+    if (proven.empty())
         return 0;
+    // The analyzer's own cross-check reports claims stably sorted by
+    // gate index, and applySuggestedFixes breaks ties on the first
+    // removal index by input order; keep that order.
+    std::stable_sort(proven.begin(), proven.end(),
+                     [](const Diagnostic *a, const Diagnostic *b) {
+                         return a->gateIndex < b->gateIndex;
+                     });
+    std::vector<SuggestedFix> fixes;
+    for (const Diagnostic *d : proven)
+        fixes.push_back(d->fix);
 
     AppliedFixes batch = applySuggestedFixes(circuit, fixes);
     if (batch.applied.empty())

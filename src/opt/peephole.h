@@ -20,11 +20,13 @@
  *    deleted whole, even when no two of its gates cancel pairwise —
  *    composite identities otherwise block two-qubit cancellations
  *    across them indefinitely.
- *  - analyzer seeding (optional): the dataflow analyzer's *verified*
- *    unitary SuggestedFixes are applied as a batch through
+ *  - analyzer seeding (optional): the dataflow analyzer's unitary
+ *    SuggestedFixes, each proven on its removal window
+ *    (verifyUnitaryClaim), are applied as a batch through
  *    applySuggestedFixes; the batched result is re-proven against the
  *    input by the equivalence engine and dropped to a single fix when
- *    the joint application cannot be proven.
+ *    the joint application cannot be proven. State claims are never
+ *    applied, so the seed does not verify them.
  *
  * Every rewrite is therefore individually machine-checked before it is
  * committed; the never-worse guarantee is structural (rewrites only

@@ -10,11 +10,13 @@
  */
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/analyzer.h"
 #include "analysis/diagnostics.h"
 #include "compiler/compiler.h"
 #include "compiler/decompose.h"
@@ -320,6 +322,157 @@ TEST(ApplySuggestedFixesTest, OverlappingFixesAreDeferredNotMisapplied)
     AppliedFixes flipped = applySuggestedFixes(c, {second, first});
     EXPECT_EQ(flipped.applied.size(), 1u);
     EXPECT_EQ(flipped.deferred.size(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Analyzer seed: proving only the unitary claims, each on its removal
+// window, applies exactly what a whole-circuit cross-check of every
+// claim applied.
+// ---------------------------------------------------------------------
+
+/** Removable unitary claims in @p report. */
+int
+countUnitaryClaims(const AnalysisReport &report)
+{
+    int count = 0;
+    for (const Diagnostic &d : report.diagnostics)
+        count += d.removable && d.mode == VerificationMode::kUnitary;
+    return count;
+}
+
+/**
+ * The analyzer seed with the analyzer's full cross-check (every claim,
+ * state claims included), each unitary claim proven on the whole
+ * circuit, and the proven fixes applied as one re-proven batch.
+ */
+int
+wholeCircuitSeed(Circuit &circuit, CommutationChecker &checker)
+{
+    AnalysisOptions analysis;
+    analysis.stage = "opt-seed";
+    analysis.verify = true;
+    analysis.informational = false;
+    AnalysisReport report = analyzeCircuit(circuit, analysis, &checker);
+    // The cross-check keeps every claim it decides, in the order the
+    // seed must apply them. It proves unitary claims on their windows,
+    // so re-prove each on the whole circuit below; none may have been
+    // suppressed as undecidable on its window.
+    AnalysisOptions unchecked = analysis;
+    unchecked.verify = false;
+    EXPECT_EQ(countUnitaryClaims(report),
+              countUnitaryClaims(analyzeCircuit(circuit, unchecked)));
+    std::vector<SuggestedFix> fixes;
+    for (const Diagnostic &d : report.diagnostics)
+        if (d.removable && d.mode == VerificationMode::kUnitary &&
+            !d.fix.empty() &&
+            analyzeCircuitsEquivalent(circuit,
+                                      applySuggestedFix(circuit, d.fix))
+                .equivalent())
+            fixes.push_back(d.fix);
+    if (fixes.empty())
+        return 0;
+    AppliedFixes batch = applySuggestedFixes(circuit, fixes);
+    if (batch.applied.empty())
+        return 0;
+    if (batch.applied.size() > 1 &&
+        !analyzeCircuitsEquivalent(circuit, batch.circuit).equivalent()) {
+        circuit = applySuggestedFix(circuit, batch.applied.front());
+        return 1;
+    }
+    circuit = std::move(batch.circuit);
+    return static_cast<int>(batch.applied.size());
+}
+
+/** Gate list rendered exactly (angles bit for bit). */
+std::vector<std::string>
+exactGates(const Circuit &circuit)
+{
+    std::vector<std::string> out;
+    for (const Gate &g : circuit.gates()) {
+        std::ostringstream line;
+        line << g.toString() << std::hexfloat;
+        for (double p : g.params)
+            line << " " << p;
+        out.push_back(line.str());
+    }
+    return out;
+}
+
+/**
+ * runPeephole with the seed against the whole-circuit seed followed by
+ * an unseeded runPeephole; returns the number of fixes applied.
+ */
+int
+expectSeedMatchesWholeCircuit(const Circuit &circuit,
+                              const std::string &what)
+{
+    OptimizerOptions options;
+    CommutationChecker want_checker;
+    Circuit want = circuit;
+    const int want_fixes = wholeCircuitSeed(want, want_checker);
+    runPeephole(want, options, want_checker, false);
+
+    CommutationChecker got_checker;
+    Circuit got = circuit;
+    PeepholeStats stats = runPeephole(got, options, got_checker, true);
+    EXPECT_EQ(stats.analyzerFixesApplied, want_fixes) << what;
+    EXPECT_EQ(exactGates(got), exactGates(want)) << what;
+    return want_fixes;
+}
+
+TEST(AnalyzerSeedTest, MatchesWholeCircuitSeedOnReducedPaperSuite)
+{
+    int fixes = 0;
+    for (const BenchmarkSpec &spec : paperBenchmarkSuite(0.3))
+        fixes += expectSeedMatchesWholeCircuit(decomposeCcx(spec.circuit),
+                                               spec.name);
+    EXPECT_GT(fixes, 0);
+}
+
+TEST(AnalyzerSeedTest, MatchesWholeCircuitSeedOnFullScaleUccsd)
+{
+    const BenchmarkSpec spec = benchmarkByName("UCCSD-n4");
+    EXPECT_GT(expectSeedMatchesWholeCircuit(decomposeCcx(spec.circuit),
+                                            spec.name),
+              0);
+}
+
+TEST(AnalyzerSeedTest, MatchesWholeCircuitSeedOnSeededCorpus)
+{
+    using Generator = Circuit (*)(int, int, std::uint64_t);
+    const Generator generators[] = {
+        testing::randomCircuit,
+        testing::randomCliffordCircuit,
+        testing::randomDiagonalCircuit,
+    };
+    int fixes = 0;
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+        const int width = 4 + static_cast<int>(seed % 3);
+        Circuit c = generators[seed % 3](width, 10 * width, 21000 + seed);
+        fixes += expectSeedMatchesWholeCircuit(
+            c, "corpus seed " + std::to_string(seed));
+    }
+    EXPECT_GT(fixes, 0);
+}
+
+TEST(AnalyzerSeedTest, StateClaimsAreNeverApplied)
+{
+    // q0 is provably |0>, so the CNOT is a dead control: removable on
+    // the reachable state, but not as a unitary.
+    Circuit c(2);
+    c.add(makeH(1));
+    c.add(makeCnot(0, 1));
+    AnalysisReport report = analyzeCircuit(c);
+    EXPECT_EQ(report.countKind(DiagnosticKind::kDeadControl), 1)
+        << report.toString();
+
+    EXPECT_EQ(expectSeedMatchesWholeCircuit(c, "dead control"), 0);
+    Circuit seeded = c;
+    CommutationChecker checker;
+    PeepholeStats stats =
+        runPeephole(seeded, OptimizerOptions{}, checker, true);
+    EXPECT_EQ(stats.analyzerFixesApplied, 0);
+    EXPECT_EQ(exactGates(seeded), exactGates(c));
 }
 
 // ---------------------------------------------------------------------
