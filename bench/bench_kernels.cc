@@ -8,6 +8,8 @@
  *
  * Usage: bench_kernels [--quick] [--json FILE]
  */
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -51,6 +53,131 @@ naiveExpiFromEig(const EigResult &eig, double t)
     for (std::size_t i = 0; i < n; ++i)
         phases(i, i) = std::exp(Cmplx(0.0, -t * eig.values[i]));
     return eig.vectors * phases * eig.vectors.dagger();
+}
+
+/** Sum of squared magnitudes of the strict upper triangle. */
+double
+offDiagonalNorm2(const CMatrix &a)
+{
+    double s = 0.0;
+    for (std::size_t p = 0; p < a.rows(); ++p)
+        for (std::size_t q = p + 1; q < a.cols(); ++q)
+            s += std::norm(a(p, q));
+    return s;
+}
+
+/**
+ * One cyclic Jacobi sweep over all pivots of Hermitian @p a, accumulating
+ * the applied rotations into @p v. The rotation updates are spelled out
+ * on the raw real/imag parts, as in the solver that replaced it, so the
+ * comparison measures the algorithm rather than __muldc3 calls.
+ */
+void
+jacobiSweep(CMatrix &a, CMatrix &v)
+{
+    const std::size_t n = a.rows();
+    Cmplx *ad = a.raw();
+    Cmplx *vd = v.raw();
+    for (std::size_t p = 0; p < n; ++p) {
+        for (std::size_t q = p + 1; q < n; ++q) {
+            const double apq_re = a(p, q).real();
+            const double apq_im = a(p, q).imag();
+            const double r2 = apq_re * apq_re + apq_im * apq_im;
+            // r and the pivot phase, spelled out to avoid the complex
+            // abs (hypot) and division (__divdc3) library calls.
+            const double r = std::sqrt(r2);
+            if (r < 1e-300)
+                continue;
+            const double inv_r = 1.0 / r;
+            const double phase_re = apq_re * inv_r;
+            const double phase_im = apq_im * inv_r;
+            double app = a(p, p).real();
+            double aqq = a(q, q).real();
+            double tau = (aqq - app) / (2.0 * r);
+            double t = (tau >= 0.0 ? 1.0 : -1.0) /
+                       (std::abs(tau) + std::sqrt(1.0 + tau * tau));
+            double c = 1.0 / std::sqrt(1.0 + t * t);
+            double s = t * c;
+            // s * e^{+i phi} and s * e^{-i phi}.
+            const double spr = s * phase_re;
+            const double spi = s * phase_im;
+            const double snr = spr;
+            const double sni = -spi;
+
+            // Column update: A <- A * J.
+            for (std::size_t i = 0; i < n; ++i) {
+                Cmplx *row = ad + i * n;
+                const double pr = row[p].real(), pi = row[p].imag();
+                const double qr = row[q].real(), qi = row[q].imag();
+                row[p] = Cmplx(c * pr - (snr * qr - sni * qi),
+                               c * pi - (snr * qi + sni * qr));
+                row[q] = Cmplx(spr * pr - spi * pi + c * qr,
+                               spr * pi + spi * pr + c * qi);
+            }
+            // Row update: A <- J^dag * A.
+            {
+                Cmplx *prow = ad + p * n;
+                Cmplx *qrow = ad + q * n;
+                for (std::size_t j = 0; j < n; ++j) {
+                    const double pr = prow[j].real(), pi = prow[j].imag();
+                    const double qr = qrow[j].real(), qi = qrow[j].imag();
+                    prow[j] = Cmplx(c * pr - (spr * qr - spi * qi),
+                                    c * pi - (spr * qi + spi * qr));
+                    qrow[j] = Cmplx(snr * pr - sni * pi + c * qr,
+                                    snr * pi + sni * pr + c * qi);
+                }
+            }
+            // Accumulate eigenvectors: V <- V * J.
+            for (std::size_t i = 0; i < n; ++i) {
+                Cmplx *row = vd + i * n;
+                const double pr = row[p].real(), pi = row[p].imag();
+                const double qr = row[q].real(), qi = row[q].imag();
+                row[p] = Cmplx(c * pr - (snr * qr - sni * qi),
+                               c * pi - (snr * qi + sni * qr));
+                row[q] = Cmplx(spr * pr - spi * pi + c * qr,
+                               spr * pi + spi * pr + c * qi);
+            }
+        }
+    }
+}
+
+/**
+ * The cyclic complex Jacobi eigensolver that hermitianEig used before
+ * the Householder + implicit QL solver, kept as the baseline: sweeps
+ * to an off-diagonal norm of 1e-14 relative, then selection-sorts.
+ */
+void
+jacobiEig(const CMatrix &a, EigResult &out, Workspace &ws)
+{
+    const std::size_t n = a.rows();
+    Workspace::Handle wh = ws.acquire(n, n);
+    CMatrix &work = *wh;
+    work = a;
+    double fro2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            fro2 += std::norm(a(i, j));
+    CMatrix &v = out.vectors;
+    v = CMatrix::identity(n);
+    const double scale = std::max(1.0, std::sqrt(fro2));
+    const double tol2 = 1e-28 * scale * scale;
+    for (int sweep = 0; offDiagonalNorm2(work) > tol2 && sweep < 60;
+         ++sweep)
+        jacobiSweep(work, v);
+    out.values.resize(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out.values[i] = work(i, i).real();
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+        std::size_t min_idx = k;
+        for (std::size_t j = k + 1; j < n; ++j)
+            if (out.values[j] < out.values[min_idx])
+                min_idx = j;
+        if (min_idx == k)
+            continue;
+        std::swap(out.values[k], out.values[min_idx]);
+        for (std::size_t i = 0; i < n; ++i)
+            std::swap(v(i, k), v(i, min_idx));
+    }
 }
 
 } // namespace
@@ -116,11 +243,13 @@ main(int argc, char **argv)
         std::snprintf(name, sizeof(name), "expi_from_eig/n=%zu", n);
         report.add(name, fast, reps, base);
 
-        // Hermitian eigendecomposition: fresh-allocation API vs. the
-        // workspace variant reusing one EigResult.
+        // Hermitian eigendecomposition: the former cyclic Jacobi vs.
+        // Householder + implicit QL, both reusing one EigResult and
+        // workspace.
         long long eig_reps = reps / 10;
         EigResult scratch_eig;
-        base = measureNs(eig_reps, [&] { EigResult e = hermitianEig(h); });
+        base = measureNs(eig_reps,
+                         [&] { jacobiEig(h, scratch_eig, ws); });
         fast = measureNs(eig_reps,
                          [&] { hermitianEig(h, scratch_eig, ws); });
         std::snprintf(name, sizeof(name), "hermitian_eig/n=%zu", n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "la/eig.h"
 #include "la/expm.h"
@@ -51,6 +52,14 @@ struct Adam
     }
 };
 
+/** Piecewise-constant steps of a @p duration_ns pulse: at least 2. */
+std::size_t
+stepCount(double duration_ns, double dt)
+{
+    return std::max<std::size_t>(
+        2, static_cast<std::size_t>(std::llround(duration_ns / dt)));
+}
+
 /** Everything one restart produces; selection happens afterwards. */
 struct RestartOutcome
 {
@@ -65,9 +74,15 @@ struct RestartOutcome
 GrapeOptimizer::GrapeOptimizer(DeviceModel device)
     : device_(std::move(device))
 {
-    ops_.reserve(device_.channels().size());
-    for (std::size_t k = 0; k < device_.channels().size(); ++k)
-        ops_.push_back(device_.channelOperator(k));
+    const double two_pi = 2.0 * M_PI;
+    channels_.resize(device_.channels().size());
+    for (std::size_t k = 0; k < channels_.size(); ++k) {
+        const CMatrix op = device_.channelOperator(k) * Cmplx(two_pi, 0.0);
+        const Cmplx *od = op.raw();
+        for (std::size_t i = 0; i < op.rows() * op.cols(); ++i)
+            if (od[i].real() != 0.0 || od[i].imag() != 0.0)
+                channels_[k].push_back({i, od[i]});
+    }
 }
 
 GrapeResult
@@ -85,21 +100,14 @@ GrapeOptimizer::optimize(const CMatrix &target, double duration_ns,
         return injected; // fidelity 0, converged false
     }
 
-    const std::size_t num_ch = ops_.size();
-    const std::size_t steps = std::max<std::size_t>(
-        2, static_cast<std::size_t>(std::llround(duration_ns / options.dt)));
+    const std::size_t num_ch = channels_.size();
+    const std::size_t steps = stepCount(duration_ns, options.dt);
     const std::size_t num_vars = num_ch * steps;
-    const double two_pi = 2.0 * M_PI;
     const double dsq = static_cast<double>(dim) * static_cast<double>(dim);
 
     std::vector<double> umax(num_ch);
     for (std::size_t k = 0; k < num_ch; ++k)
         umax[k] = device_.channels()[k].maxAmplitude;
-
-    // Pre-scale channel operators by 2*pi once.
-    std::vector<CMatrix> scaled_ops(num_ch);
-    for (std::size_t k = 0; k < num_ch; ++k)
-        scaled_ops[k] = ops_[k] * Cmplx(two_pi, 0.0);
 
     CMatrix target_dag = target.dagger();
 
@@ -185,16 +193,20 @@ GrapeOptimizer::optimize(const CMatrix &target, double duration_ns,
             for (std::size_t i = 0; i < num_vars; ++i)
                 u[i] = umax[i / steps] * std::tanh(vars[i]);
 
-            // Forward pass: step Hamiltonians by in-place accumulation,
-            // eigendecompositions and step unitaries, fanned out.
+            // Forward pass: step Hamiltonians accumulated over each
+            // channel's nonzeros, eigendecompositions and step
+            // unitaries, fanned out.
             parallelFor(steps, eworkers, [&](std::size_t j, int w) {
                 CMatrix &h = hs[w];
                 h.setZero();
+                Cmplx *hd = h.raw();
                 for (std::size_t k = 0; k < num_ch; ++k) {
-                    double amp = u[k * steps + j];
-                    if (amp != 0.0)
-                        addScaledInPlace(h, scaled_ops[k],
-                                         Cmplx(amp, 0.0));
+                    const double amp = u[k * steps + j];
+                    if (amp == 0.0)
+                        continue;
+                    for (const ChannelEntry &c : channels_[k])
+                        hd[c.index] += Cmplx(amp * c.value.real(),
+                                             amp * c.value.imag());
                 }
                 hermitianEig(h, eigs[j], wss[w], 1e-6);
                 expiFromEigInto(us[j], eigs[j], options.dt, wss[w]);
@@ -259,25 +271,16 @@ GrapeOptimizer::optimize(const CMatrix &target, double duration_ns,
 
                 const Cmplx *pd = p->raw();
                 for (std::size_t k = 0; k < num_ch; ++k) {
-                    // Tr(W dU_k) = sum_{r,s} K(r,s) conj(P(r,s)); the
-                    // channel operators are sparse Paulis, so skip their
-                    // zero entries.
-                    const CMatrix &kop = scaled_ops[k];
-                    const Cmplx *kd = kop.raw();
+                    // Tr(W dU_k) = sum_{r,s} K(r,s) conj(P(r,s)) over the
+                    // channel's nonzeros only.
                     double tr_re = 0.0, tr_im = 0.0;
-                    for (std::size_t r = 0; r < dim; ++r) {
-                        const Cmplx *krow = kd + r * dim;
-                        const Cmplx *prow = pd + r * dim;
-                        for (std::size_t s = 0; s < dim; ++s) {
-                            const double kr = krow[s].real();
-                            const double ki = krow[s].imag();
-                            if (kr == 0.0 && ki == 0.0)
-                                continue;
-                            const double pr = prow[s].real();
-                            const double pi = prow[s].imag();
-                            tr_re += kr * pr + ki * pi;
-                            tr_im += ki * pr - kr * pi;
-                        }
+                    for (const ChannelEntry &c : channels_[k]) {
+                        const double kr = c.value.real();
+                        const double ki = c.value.imag();
+                        const double pr = pd[c.index].real();
+                        const double pi = pd[c.index].imag();
+                        tr_re += kr * pr + ki * pi;
+                        tr_im += ki * pr - kr * pi;
                     }
                     Cmplx tr(tr_re, tr_im);
                     double dfid = 2.0 * (std::conj(z) * tr).real() / dsq;
@@ -368,16 +371,24 @@ GrapeOptimizer::minimizeDuration(const CMatrix &target, double t_lo,
     QAIC_CHECK(t_lo > 0.0 && t_hi >= t_lo && resolution_ns > 0.0);
     DurationSearch search;
 
+    // Results by step count: a probe that rounds to an earlier probe's
+    // step count would rerun the identical optimization.
+    std::map<std::size_t, GrapeResult> done;
     auto probe = [&](double t) -> bool {
-        GrapeResult r = optimize(target, t, options);
-        search.probes.push_back({t, r.fidelity, r.converged});
+        const std::size_t steps = stepCount(t, options.dt);
+        auto [it, fresh] = done.try_emplace(steps);
+        if (fresh)
+            it->second = optimize(target, t, options);
+        const GrapeResult &r = it->second;
+        search.probes.push_back(
+            {t, r.fidelity, r.converged, r.iterations, steps, !fresh});
         if (r.converged &&
             (!search.found || t < search.minimalDuration)) {
             search.found = true;
             search.minimalDuration = t;
-            search.best = std::move(r);
+            search.best = r;
         }
-        return search.probes.back().converged;
+        return r.converged;
     };
 
     // Phase 1: grow from t_lo until a converging duration is found.

@@ -16,6 +16,7 @@
 #ifndef QAIC_CONTROL_GRAPE_H
 #define QAIC_CONTROL_GRAPE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,7 +100,8 @@ struct GrapeResult
 class GrapeOptimizer
 {
   public:
-    /** Binds the optimizer to @p device (channel operators are cached). */
+    /** Binds the optimizer to @p device (channel operators are cached
+     *  as nonzero lists). */
     explicit GrapeOptimizer(DeviceModel device);
 
     /**
@@ -118,6 +120,15 @@ class GrapeOptimizer
         double duration = 0.0;
         double fidelity = 0.0;
         bool converged = false;
+        /** Iterations of the winning restart. */
+        int iterations = 0;
+        /** Time steps the duration rounds to: max(2, llround(t / dt)). */
+        std::size_t steps = 0;
+        /**
+         * True if an earlier probe of the same search had the same step
+         * count, so its result was reused instead of re-optimizing.
+         */
+        bool reused = false;
     };
 
     /** Result of the minimal-duration search. */
@@ -134,8 +145,11 @@ class GrapeOptimizer
     };
 
     /**
-     * Finds the minimal duration in [t_lo, t_hi] reaching target fidelity,
-     * by doubling up from @p t_lo then bisecting to @p resolution_ns.
+     * Finds the minimal duration in [t_lo, t_hi] reaching target fidelity:
+     * grows by 1.6x from @p t_lo until a duration converges (probing
+     * @p t_hi last), then bisects to @p resolution_ns. optimize() sees a
+     * duration only through its step count, so a probe that rounds to
+     * the step count of an earlier probe reuses that probe's result.
      */
     DurationSearch minimizeDuration(const CMatrix &target, double t_lo,
                                     double t_hi, double resolution_ns,
@@ -144,8 +158,20 @@ class GrapeOptimizer
     const DeviceModel &device() const { return device_; }
 
   private:
+    /** One nonzero of a 2*pi-scaled channel operator (row-major index). */
+    struct ChannelEntry
+    {
+        std::size_t index = 0;
+        Cmplx value;
+    };
+
     DeviceModel device_;
-    std::vector<CMatrix> ops_; ///< Cached channel operators.
+    /**
+     * Per channel, the nonzeros of 2*pi times its operator in row-major
+     * order: the step-Hamiltonian build and the gradient contraction
+     * touch only these (channel operators are sparse Pauli sums).
+     */
+    std::vector<std::vector<ChannelEntry>> channels_;
 };
 
 } // namespace qaic

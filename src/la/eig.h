@@ -3,8 +3,12 @@
  * Eigendecomposition routines for the small Hermitian operators used in
  * pulse synthesis and Weyl-chamber analysis.
  *
- * A cyclic complex Jacobi method is used: it is simple, unconditionally
- * stable and more than fast enough for dimensions up to 2^10.
+ * hermitianEig reduces the matrix to Hermitian tridiagonal form with
+ * Householder reflectors, scales it by a diagonal unitary to a real
+ * symmetric tridiagonal, and diagonalizes that by implicit-shift QL,
+ * accumulating the plane rotations into the complex Householder basis.
+ * This is O(n^3) with a small constant and backward stable: residual and
+ * orthonormality defect are a few ulps times n |A|.
  */
 #ifndef QAIC_LA_EIG_H
 #define QAIC_LA_EIG_H
@@ -26,7 +30,8 @@ struct EigResult
 };
 
 /**
- * Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+ * Eigendecomposition of a complex Hermitian matrix (Householder
+ * tridiagonalization + implicit QL).
  *
  * @param a Hermitian matrix (checked up to @p herm_tol).
  * @param herm_tol Tolerance for the Hermiticity check.
@@ -36,7 +41,7 @@ EigResult hermitianEig(const CMatrix &a, double herm_tol = 1e-9);
 
 /**
  * Allocation-free variant: writes the decomposition into @p out (whose
- * storage is reused across calls) and takes Jacobi scratch from @p ws.
+ * storage is reused across calls) and takes its scratch from @p ws.
  * The hot path for per-timestep decompositions in GRAPE.
  */
 void hermitianEig(const CMatrix &a, EigResult &out, Workspace &ws,

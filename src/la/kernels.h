@@ -5,7 +5,7 @@
  * cmatrix.h deliberately favours clarity; this header is where the hot
  * paths live. Every kernel writes into a caller-owned destination (or
  * mutates in place), so steady-state loops — GRAPE iterations, Pade
- * squarings, Jacobi sweeps — run without touching the allocator. The
+ * squarings, eigendecompositions — run without touching the allocator. The
  * inner loops also spell out the complex arithmetic on the raw
  * real/imag parts: std::complex<double> products otherwise lower to
  * __muldc3 (full Inf/NaN semantics), which costs a call per multiply.

@@ -240,7 +240,7 @@ kakDecompose(const CMatrix &u)
     SimultaneousEigResult sim = simultaneousEig(re, im);
 
     // The eigenvectors of the real symmetric pair (re, im) can be chosen
-    // real; strip the per-column phase the complex Jacobi introduced and
+    // real; strip any per-column phase the complex eigensolver left and
     // fail out if a genuinely complex vector remains (degenerate cluster
     // mixed by rounding) — the caller then keeps the original gates.
     CMatrix p(4, 4);

@@ -6,6 +6,7 @@
  */
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +223,145 @@ TEST(GrapeTest, DurationSearchFindsXGateSpeedLimit)
     EXPECT_GE(search.minimalDuration, 4.0);
     EXPECT_LE(search.minimalDuration, 8.0);
     EXPECT_FALSE(search.probes.empty());
+}
+
+TEST(GrapeTest, DurationSearchReusesProbesOfEqualStepCount)
+{
+    // Replays the search without reuse — optimize() at every probed
+    // duration, same growth and bisection rules — and requires the
+    // memoized search to report the same probes and the same answer.
+    DeviceModel dev(1, {});
+    GrapeOptimizer grape(dev);
+    GrapeOptions opt = fastOptions();
+    opt.maxIterations = 150;
+    const CMatrix target = makeX(0).matrix();
+    const double t_lo = 2.0, t_hi = 12.0, resolution = 0.1;
+
+    struct Replayed
+    {
+        double duration;
+        GrapeResult result;
+    };
+    std::vector<Replayed> replay;
+    bool found = false;
+    double minimal = 0.0;
+    auto probe = [&](double t) {
+        replay.push_back({t, grape.optimize(target, t, opt)});
+        const bool ok = replay.back().result.converged;
+        if (ok && (!found || t < minimal)) {
+            found = true;
+            minimal = t;
+        }
+        return ok;
+    };
+    double lo = 0.0, hi = t_lo;
+    while (hi < t_hi && !probe(hi)) {
+        lo = hi;
+        hi = std::min(t_hi, hi * 1.6);
+    }
+    ASSERT_TRUE(found);
+    hi = minimal;
+    while (hi - lo > resolution) {
+        const double mid = 0.5 * (lo + hi);
+        if (probe(mid))
+            hi = minimal;
+        else
+            lo = mid;
+    }
+
+    auto search = grape.minimizeDuration(target, t_lo, t_hi, resolution, opt);
+    ASSERT_TRUE(search.found);
+    EXPECT_EQ(search.minimalDuration, minimal);
+    ASSERT_EQ(search.probes.size(), replay.size());
+    std::vector<std::size_t> seen;
+    int reused = 0;
+    for (std::size_t i = 0; i < replay.size(); ++i) {
+        const auto &p = search.probes[i];
+        const GrapeResult &r = replay[i].result;
+        EXPECT_EQ(p.duration, replay[i].duration) << "probe " << i;
+        EXPECT_EQ(p.fidelity, r.fidelity) << "probe " << i;
+        EXPECT_EQ(p.converged, r.converged) << "probe " << i;
+        EXPECT_EQ(p.iterations, r.iterations) << "probe " << i;
+        EXPECT_EQ(p.steps, static_cast<std::size_t>(std::max(
+                               2LL, std::llround(p.duration / opt.dt))));
+        const bool repeat =
+            std::find(seen.begin(), seen.end(), p.steps) != seen.end();
+        EXPECT_EQ(p.reused, repeat) << "probe " << i;
+        reused += p.reused ? 1 : 0;
+        seen.push_back(p.steps);
+    }
+    // A 0.1 ns resolution at dt = 0.5 must revisit step counts.
+    EXPECT_GT(reused, 0);
+    EXPECT_EQ(search.best.pulses.amplitudes,
+              grape.optimize(target, minimal, opt).pulses.amplitudes);
+}
+
+/** (duration, converged, iterations, fidelity, reused) of one pinned probe. */
+struct PinnedProbe
+{
+    double duration;
+    bool converged;
+    int iterations;
+    double fidelity;
+    bool reused;
+};
+
+void
+expectProbes(const GrapeOptimizer::DurationSearch &search,
+             const std::vector<PinnedProbe> &pinned)
+{
+    ASSERT_EQ(search.probes.size(), pinned.size());
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+        const auto &p = search.probes[i];
+        EXPECT_NEAR(p.duration, pinned[i].duration, 1e-9) << "probe " << i;
+        EXPECT_EQ(p.converged, pinned[i].converged) << "probe " << i;
+        EXPECT_EQ(p.iterations, pinned[i].iterations) << "probe " << i;
+        EXPECT_NEAR(p.fidelity, pinned[i].fidelity, 1e-6) << "probe " << i;
+        EXPECT_EQ(p.reused, pinned[i].reused) << "probe " << i;
+    }
+}
+
+TEST(GrapeTest, PinnedTwoQubitCnotSearch)
+{
+    // Probe sequence of the cyclic-Jacobi solver (GRAPE defaults): the
+    // eigensolver may change rounding, not the search.
+    DeviceModel dev = DeviceModel::line(2);
+    GrapeOptimizer grape(dev);
+    auto search = grape.minimizeDuration(makeCnot(0, 1).matrix(), 8.0,
+                                         60.0, 0.5, GrapeOptions{});
+    ASSERT_TRUE(search.found);
+    EXPECT_NEAR(search.minimalDuration, 14.72, 1e-9);
+    expectProbes(search, {{8.0, false, 400, 0.804633981, false},
+                          {12.8, false, 400, 0.977146317, false},
+                          {20.48, true, 55, 0.999411546, false},
+                          {16.64, true, 179, 0.999009936, false},
+                          {14.72, true, 324, 0.999002966, false},
+                          {13.76, false, 400, 0.988557247, false},
+                          {14.24, false, 400, 0.988557247, true}});
+}
+
+TEST(GrapeTest, PinnedThreeQubitCnotChainSearch)
+{
+    // A dim-8 search (one restart, 200 iterations), pinned likewise.
+    DeviceModel dev = DeviceModel::line(3);
+    GrapeOptimizer grape(dev);
+    GrapeOptions opt;
+    opt.maxIterations = 200;
+    opt.restarts = 1;
+    Gate chain = makeAggregate({makeCnot(0, 1), makeCnot(1, 2)});
+    auto search =
+        grape.minimizeDuration(chain.matrix(), 10.0, 80.0, 0.5, opt);
+    ASSERT_TRUE(search.found);
+    EXPECT_NEAR(search.minimalDuration, 33.76, 1e-9);
+    expectProbes(search, {{10.0, false, 200, 0.642107784, false},
+                          {16.0, false, 200, 0.867848667, false},
+                          {25.6, false, 200, 0.995123394, false},
+                          {40.96, true, 122, 0.999067930, false},
+                          {33.28, false, 200, 0.852568910, false},
+                          {37.12, true, 77, 0.999075879, false},
+                          {35.2, true, 157, 0.999014629, false},
+                          {34.24, true, 111, 0.999020179, false},
+                          {33.76, true, 111, 0.999020179, true}});
 }
 
 TEST(GrapeTest, ImpossibleDurationFails)

@@ -2,10 +2,14 @@
  * @file
  * Unit and property tests for the dense linear-algebra substrate.
  */
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "device/device.h"
 #include "la/cmatrix.h"
 #include "la/eig.h"
 #include "la/expm.h"
@@ -169,6 +173,188 @@ TEST(EigTest, SimultaneousDiagonalization)
     CMatrix yd = sim.vectors.dagger() * y * sim.vectors;
     EXPECT_TRUE(xd.isDiagonal(1e-7));
     EXPECT_TRUE(yd.isDiagonal(1e-7));
+}
+
+/**
+ * Checks an eigendecomposition against the solver's accuracy contract:
+ * ascending eigenvalues, and both the residual |H V - V diag(values)|
+ * and the orthonormality defect |V^dag V - I| (Frobenius) within
+ * 1e-12 max(1, |H|).
+ */
+void
+expectAccurateEig(const CMatrix &h, const EigResult &eig)
+{
+    const std::size_t n = h.rows();
+    ASSERT_EQ(eig.values.size(), n);
+    ASSERT_EQ(eig.vectors.rows(), n);
+    ASSERT_EQ(eig.vectors.cols(), n);
+    for (std::size_t i = 1; i < n; ++i)
+        EXPECT_LE(eig.values[i - 1], eig.values[i]);
+    const double bound = 1e-12 * std::max(1.0, h.frobeniusNorm());
+    CMatrix vl = eig.vectors *
+                 CMatrix::diag(std::vector<Cmplx>(eig.values.begin(),
+                                                  eig.values.end()));
+    EXPECT_LE((h * eig.vectors - vl).frobeniusNorm(), bound);
+    EXPECT_LE((eig.vectors.dagger() * eig.vectors - CMatrix::identity(n))
+                  .frobeniusNorm(),
+              bound);
+}
+
+/** Pauli string on n qubits, e.g. "XIZ" (qubit 0 leftmost). */
+CMatrix
+pauliString(const std::string &s)
+{
+    const CMatrix i2 = CMatrix::identity(2);
+    const CMatrix x{{0, 1}, {1, 0}};
+    const CMatrix y{{0, Cmplx(0, -1)}, {Cmplx(0, 1), 0}};
+    const CMatrix z = CMatrix::diag({1, -1});
+    CMatrix out = CMatrix::identity(1);
+    for (char c : s)
+        out = out.kron(c == 'X' ? x : c == 'Y' ? y : c == 'Z' ? z : i2);
+    return out;
+}
+
+class HermitianEigBounds : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(HermitianEigBounds, RandomHermitianMeetsAccuracyContract)
+{
+    Rng rng(500 + GetParam());
+    CMatrix h = randomHermitian(static_cast<std::size_t>(GetParam()), rng);
+    expectAccurateEig(h, hermitianEig(h));
+}
+
+TEST_P(HermitianEigBounds, RealSymmetricMeetsAccuracyContract)
+{
+    // Real input keeps every reflector and phase real (the Weyl path).
+    Rng rng(600 + GetParam());
+    CMatrix g = randomHermitian(static_cast<std::size_t>(GetParam()), rng);
+    CMatrix h = (g + g.conjugate()) * Cmplx(0.5, 0.0);
+    expectAccurateEig(h, hermitianEig(h));
+}
+
+TEST_P(HermitianEigBounds, SmallNormInputMeetsAccuracyContract)
+{
+    Rng rng(700 + GetParam());
+    CMatrix h = randomHermitian(static_cast<std::size_t>(GetParam()), rng) *
+                Cmplx(1e-6, 0.0);
+    expectAccurateEig(h, hermitianEig(h));
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, HermitianEigBounds,
+                         ::testing::Values(1, 2, 3, 4, 8, 16, 32));
+
+TEST(EigTest, DegenerateSpectraMeetAccuracyContract)
+{
+    // Identity (one n-fold eigenvalue), XX+YY (eigenvalues -2, 0, 0, 2)
+    // and Pauli sums with highly degenerate spectra.
+    const std::vector<CMatrix> cases = {
+        CMatrix::identity(8),
+        pauliString("XX") + pauliString("YY"),
+        pauliString("XXI") + pauliString("YYI") + pauliString("IXX") +
+            pauliString("IYY"),
+        pauliString("ZZI") + pauliString("IZZ"),
+        pauliString("XIII") + pauliString("IXII") + pauliString("IIXI") +
+            pauliString("IIIX"),
+    };
+    for (const CMatrix &h : cases)
+        expectAccurateEig(h, hermitianEig(h));
+
+    EigResult xy = hermitianEig(pauliString("XX") + pauliString("YY"));
+    const double expected[] = {-2.0, 0.0, 0.0, 2.0};
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_NEAR(xy.values[i], expected[i], 1e-14);
+}
+
+TEST(EigTest, ZeroMatrixGivesZeroSpectrumAndIdentityLikeBasis)
+{
+    for (std::size_t n : {1u, 2u, 5u, 8u}) {
+        CMatrix h(n, n);
+        EigResult eig = hermitianEig(h);
+        expectAccurateEig(h, eig);
+        for (double v : eig.values)
+            EXPECT_EQ(v, 0.0);
+    }
+}
+
+TEST(EigTest, DiagonalInputIsExactAndSorted)
+{
+    CMatrix h = CMatrix::diag({3.5, -1.0, 2.0, -1.0, 0.25});
+    EigResult eig = hermitianEig(h);
+    expectAccurateEig(h, eig);
+    const double expected[] = {-1.0, -1.0, 0.25, 2.0, 3.5};
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(eig.values[i], expected[i]);
+}
+
+TEST(EigTest, TridiagonalInputWithComplexCouplings)
+{
+    // Already tridiagonal, with complex and zero couplings: no reflector
+    // is needed, only the phase scaling and QL.
+    const std::size_t n = 7;
+    CMatrix h(n, n);
+    Rng rng(31);
+    for (std::size_t i = 0; i < n; ++i)
+        h(i, i) = rng.gaussian();
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        Cmplx c = i == 3 ? Cmplx(0.0, 0.0)
+                         : Cmplx(rng.gaussian(), rng.gaussian());
+        h(i + 1, i) = c;
+        h(i, i + 1) = std::conj(c);
+    }
+    expectAccurateEig(h, hermitianEig(h));
+}
+
+TEST(EigTest, GrapeLikeSparseHamiltonians)
+{
+    // Step Hamiltonians as GRAPE builds them: random amplitudes on the
+    // drive and exchange channels of a line device (zero diagonal,
+    // sparse Pauli structure), including steps where some channels are
+    // switched off.
+    for (int nq : {1, 2, 3}) {
+        DeviceModel dev = DeviceModel::line(nq);
+        const std::size_t dim = std::size_t(1) << nq;
+        Rng rng(40 + nq);
+        for (int trial = 0; trial < 20; ++trial) {
+            CMatrix h(dim, dim);
+            for (std::size_t k = 0; k < dev.channels().size(); ++k) {
+                if (trial % 4 == 0 && k % 2 == 0)
+                    continue;
+                h += dev.channelOperator(k) *
+                     Cmplx(2.0 * M_PI * dev.channels()[k].maxAmplitude *
+                               rng.gaussian(),
+                           0.0);
+            }
+            expectAccurateEig(h, hermitianEig(h, 1e-6));
+        }
+    }
+}
+
+TEST(EigTest, EigenvaluesMatchDiagonalizedSpectrum)
+{
+    // U diag(lambda) U^dag with a known, partly degenerate spectrum.
+    Rng rng(9);
+    const std::vector<double> lambda = {-3.0, -0.5, -0.5, 0.0, 1.0,
+                                        1.0,  1.0,  4.0};
+    CMatrix u = randomUnitary(8, rng);
+    CMatrix h = u *
+                CMatrix::diag(std::vector<Cmplx>(lambda.begin(),
+                                                 lambda.end())) *
+                u.dagger();
+    h = (h + h.dagger()) * Cmplx(0.5, 0.0);
+    EigResult eig = hermitianEig(h);
+    expectAccurateEig(h, eig);
+    for (std::size_t i = 0; i < lambda.size(); ++i)
+        EXPECT_NEAR(eig.values[i], lambda[i], 1e-13);
+}
+
+using EigDeathTest = ::testing::Test;
+
+TEST(EigDeathTest, RejectsNonHermitianOffDiagonal)
+{
+    CMatrix bad{{1.0, Cmplx(0.5, 0.2)}, {Cmplx(0.5, 0.2), 2.0}};
+    EXPECT_DEATH(hermitianEig(bad), "hermitianEig on non-Hermitian");
 }
 
 TEST(LuTest, SolveRecoversSolution)
